@@ -78,15 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         "uninterrupted run)",
     )
     p.add_argument(
-        "--accrual-backend",
-        default="auto",
-        choices=["auto", "scalar", "vectorized", "numpy", "python"],
-        metavar="NAME",
-        help="counter-accrual backend: auto/vectorized (batched store, "
-        "numpy when available), numpy, python, or scalar (legacy "
-        "per-node path); all backends produce byte-identical output",
-    )
-    p.add_argument(
         "--shard-attempts",
         type=int,
         default=3,
@@ -145,7 +136,6 @@ def main(argv: list[str] | None = None) -> int:
             ),
             resume=args.resume,
             shard_attempts=args.shard_attempts,
-            accrual_backend=args.accrual_backend,
         )
     except Exception as err:  # noqa: BLE001 - operator-facing boundary
         from repro.parallel.runner import ShardExecutionError

@@ -7,28 +7,46 @@ Node allocation here is pure bookkeeping (which nodes are free); the
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
-from repro.power2.batch import make_store, resolve_backend
+from repro.power2.batch import CounterStore
 from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
 from repro.power2.node import Node, PhaseKind, WorkPhase
 
 #: The NAS SP2 size.
 NAS_NODE_COUNT = 144
 
+#: Whether new machines attach their nodes to a shared store; cleared
+#: only inside :func:`_scalar_accrual`.
+_attach_store = True
+
+
+@contextmanager
+def _scalar_accrual() -> Iterator[None]:
+    """Build machines on the detached scalar :class:`Node` path.
+
+    The differential-test seam: machines built inside the block (and in
+    worker processes forked from it) keep per-node accumulators, the
+    oracle the store must match bit for bit.  Not a user option.
+    """
+    global _attach_store
+    saved, _attach_store = _attach_store, False
+    try:
+        yield
+    finally:
+        _attach_store = saved
+
 
 class SP2Machine:
     """A distributed-memory RS6000/590 cluster.
 
-    ``accrual_backend`` selects how node counters integrate over time:
-    ``"scalar"`` (default) keeps the legacy per-node accumulators;
-    ``"auto"``/``"vectorized"``/``"numpy"``/``"python"`` move every
-    node's accumulators into one shared
-    :class:`~repro.power2.batch.CounterStore` so collector passes and
-    job transitions run as flat array sweeps.  Both produce bitwise
-    identical measurements (see :mod:`repro.power2.batch`).
+    Every node's accumulators live in one shared
+    :class:`~repro.power2.batch.CounterStore`, so collector passes and
+    job transitions run as flat array sweeps (see
+    :mod:`repro.power2.batch`).
     """
 
     def __init__(
@@ -36,18 +54,16 @@ class SP2Machine:
         n_nodes: int = NAS_NODE_COUNT,
         config: MachineConfig | None = None,
         *,
-        accrual_backend: str = "scalar",
         switch_config: SwitchConfig | None = None,
     ) -> None:
         if n_nodes <= 0:
             raise ValueError("machine needs at least one node")
         self.config = config or POWER2_590
         self.nodes: list[Node] = [Node(i, self.config) for i in range(n_nodes)]
-        self.accrual_backend = resolve_backend(accrual_backend)
-        #: The shared counter store (None on the scalar backend).
-        self.store = None
-        if self.accrual_backend != "scalar":
-            self.store = make_store(n_nodes, self.accrual_backend)
+        #: The shared counter store (None under :func:`_scalar_accrual`).
+        self.store: CounterStore | None = None
+        if _attach_store:
+            self.store = CounterStore(n_nodes)
             for node in self.nodes:
                 node.attach_store(self.store, node.node_id)
         self.switch = HighPerformanceSwitch(switch_config)

@@ -56,12 +56,6 @@ class StudyConfig:
     #: Fault-injection profile (None or a null profile = healthy run;
     #: healthy campaigns are byte-identical to pre-fault releases).
     fault_profile: FaultProfile | None = None
-    #: Counter-accrual backend (see :mod:`repro.power2.batch`):
-    #: ``auto`` picks the fastest vectorized store available; ``scalar``
-    #: forces the legacy per-node path.  Every backend produces bitwise
-    #: identical measurements — the flag exists for differential testing
-    #: and benchmarking, not for trading accuracy against speed.
-    accrual_backend: str = "auto"
     #: PBS queue policy: ``backfill`` is NAS's drain-for-wide-jobs
     #: conditional backfill (the paper's setup, §6); ``fifo`` disables
     #: backfill entirely so nothing starts ahead of a blocked head —
@@ -101,9 +95,6 @@ class StudyConfig:
                 "scheduler_wide_threshold must be positive, got "
                 f"{self.scheduler_wide_threshold}"
             )
-        from repro.power2.batch import resolve_backend
-
-        resolve_backend(self.accrual_backend)  # unknown names raise here
 
 
 @dataclass
@@ -220,7 +211,6 @@ class WorkloadStudy:
         self.machine = SP2Machine(
             self.config.n_nodes,
             self.config.machine_config,
-            accrual_backend=self.config.accrual_backend,
             switch_config=self.config.switch_config,
         )
         # One bus per campaign: the collector and PBS publish, the
@@ -354,7 +344,6 @@ def run_study(
     checkpoint_dir: str | None = None,
     resume: bool = False,
     shard_attempts: int = 3,
-    accrual_backend: str = "auto",
 ) -> StudyDataset:
     """One-call campaign: generate the trace, run it, return the data.
 
@@ -370,10 +359,6 @@ def run_study(
     checkpoint-restart path; they imply the sharded runner even without
     ``workers``/``shard_days`` (a single-shard plan, still byte-identical
     to the serial run).
-
-    ``accrual_backend`` selects how counters integrate (scalar per-node
-    vs. batched store, :mod:`repro.power2.batch`); every backend yields
-    bitwise identical output.
     """
     profile = None
     if fault_profile is not None:
@@ -390,7 +375,6 @@ def run_study(
         n_nodes=n_nodes,
         n_users=n_users,
         fault_profile=profile,
-        accrual_backend=accrual_backend,
     )
     sharded = (
         workers is not None

@@ -190,7 +190,7 @@ class SystemCollector(SampleSeries):
         self._drop_next = False
         self.passes_dropped = 0
         # Batched fast path: when every daemon's node shares one counter
-        # store (vectorized accrual backends), a cron pass is a single
+        # store (every SP2Machine's nodes do), a cron pass is a single
         # masked sweep over the store instead of a per-daemon loop.
         self._store = None
         self._slots: list[int] = []
@@ -253,7 +253,7 @@ class SystemCollector(SampleSeries):
         return sample
 
     def _collect_scalar(self, now: float):
-        """Per-daemon polling loop (legacy scalar accrual backend)."""
+        """Per-daemon polling loop (detached scalar nodes)."""
         matrix = np.empty((len(self.daemons), len(FLAT_NAMES)), dtype=np.int64)
         ids: list[int] = []
         missing: list[int] = []

@@ -389,9 +389,7 @@ class Node:
         """
         if self._store is not None:
             self._store.sync_one(self._slot, now)
-            self._store.install(
-                self._slot, user_rates, system_rates, busy=busy, flops_per_s=flops_per_s
-            )
+            self._store.install(self._slot, user_rates, system_rates, busy=busy)
             return
         self.sync(now)
         self._user_rates = (

@@ -21,7 +21,9 @@ from repro.stats.annotate import (
     repeat_summary,
     repeat_tables,
 )
-from repro.stats.campaign import CampaignRepeater, CampaignRepeatSpec
+from repro.core.study import StudyConfig
+from repro.faults.profile import FaultProfile
+from repro.stats.campaign import CampaignRepeater, ConfigRepeatSpec
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
 from repro.stats.stopping import HalfWidthRule, KSStableRule, RSERule
 
@@ -86,10 +88,6 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         "runner; part of the experiment definition)",
     )
     p.add_argument("--fault-profile", default=None, metavar="NAME")
-    p.add_argument(
-        "--accrual-backend", default="auto",
-        choices=["auto", "scalar", "vectorized", "numpy", "python"],
-    )
     p.add_argument("--tables", action="store_true", help="print Tables 1-4 with CIs")
     p.add_argument(
         "--json", type=pathlib.Path, default=None,
@@ -125,14 +123,22 @@ def repeat_main(argv: list[str] | None = None) -> int:
         # rule so a bare `sp2-study repeat` still stops on convergence.
         rules.append(RSERule(0.05))
 
-    spec = CampaignRepeatSpec(
-        n_days=args.days,
-        n_nodes=args.nodes,
-        n_users=args.users,
-        fault_profile=args.fault_profile,
-        accrual_backend=args.accrual_backend,
-        shard_days=args.shard_days,
-    )
+    try:
+        profile = (
+            FaultProfile.named(args.fault_profile)
+            if args.fault_profile is not None
+            else None
+        )
+        config = StudyConfig(
+            n_days=args.days,
+            n_nodes=args.nodes,
+            n_users=args.users,
+            fault_profile=None if profile is None or profile.is_null else profile,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    spec = ConfigRepeatSpec(config, shard_days=args.shard_days)
     rule_names = ", ".join(r.describe() for r in rules) or "none"
     how = (
         f"fixed seeds {seeds}" if seeds is not None
@@ -201,7 +207,16 @@ def repeat_main(argv: list[str] | None = None) -> int:
             print(table.render())
 
     if args.json is not None:
-        payload = repeat_summary(result, config=spec.as_dict())
+        payload = repeat_summary(
+            result,
+            config={
+                "n_days": args.days,
+                "n_nodes": args.nodes,
+                "n_users": args.users,
+                "fault_profile": args.fault_profile,
+                "shard_days": args.shard_days,
+            },
+        )
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)

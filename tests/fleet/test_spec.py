@@ -124,6 +124,11 @@ class TestRoundTrip:
         data["colour"] = "red"
         with pytest.raises(ValueError, match="unknown fleet spec keys: colour"):
             FleetSpec.from_dict(data)
+        # The accrual path is not a knob; the old key is just unknown.
+        data = FleetSpec(members=two_members()).to_dict()
+        data["accrual_backend"] = "scalar"
+        with pytest.raises(ValueError, match="^unknown fleet spec keys: accrual_backend$"):
+            FleetSpec.from_dict(data)
 
     def test_unknown_member_key_rejected(self):
         data = FleetSpec(members=two_members()).to_dict()

@@ -1,7 +1,7 @@
 """The collector's batched sweep vs. the per-daemon scalar path.
 
-When every daemon's node shares one counter store (the vectorized
-accrual backends), :class:`SystemCollector` collapses its per-node
+When every daemon's node shares one counter store (every
+:class:`~repro.cluster.machine.SP2Machine`), :class:`SystemCollector` collapses its per-node
 sampling loop into one ``sync_slots`` sweep.  These are regression tests
 for the one real hazard in that collapse: an *unreachable* node must be
 masked out of the sweep entirely — its counters AND its sync clock must
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.hpm.collector import SystemCollector
 from repro.hpm.daemon import NodeDaemon
-from repro.power2.batch import make_store
+from repro.power2.batch import CounterStore
 from repro.power2.counters import rates_vector
 from repro.power2.node import Node
 
@@ -24,10 +24,10 @@ from repro.power2.node import Node
 RATES = {"fpu0_fp_add": 1.1e6 / 3.0, "fpu0": 0.7e6 / 3.0, "cycles": 6.65e7 / 3.0}
 
 
-def make_stacks(n=4, backend="numpy"):
+def make_stacks(n=4):
     """Parallel scalar and store-backed collector stacks over n nodes."""
     scalar_nodes = [Node(i) for i in range(n)]
-    store = make_store(n, backend)
+    store = CounterStore(n)
     batched_nodes = []
     for i in range(n):
         node = Node(i)
@@ -59,13 +59,6 @@ class TestBatchedSweepEquivalence:
             batched.collect(t)
         assert_samples_identical(scalar, batched)
         assert len(scalar.intervals()) == 3
-
-    def test_python_store_sweep_identical(self):
-        scalar, batched = make_stacks(backend="python")
-        for t in (0.0, 900.0, 1800.0):
-            scalar.collect(t)
-            batched.collect(t)
-        assert_samples_identical(scalar, batched)
 
 
 class TestUnreachableNodeMasking:
@@ -131,7 +124,7 @@ class TestFastPathGating:
         """Nodes on different stores (or none) must not engage the
         batched sweep."""
         a = Node(0)
-        a.attach_store(make_store(1, "python"), 0)
+        a.attach_store(CounterStore(1), 0)
         b = Node(1)  # detached
         b.install_rates(0.0, rates_vector(RATES), busy=True)
         a.install_rates(0.0, rates_vector(RATES), busy=True)

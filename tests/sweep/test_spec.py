@@ -38,6 +38,9 @@ class TestValidation:
     def test_unknown_base_key(self):
         with pytest.raises(ValueError, match="unknown base setting 'n_dayz'"):
             make(base={"n_dayz": 2})
+        # The accrual path is not a knob; the old key is just unknown.
+        with pytest.raises(ValueError, match="unknown base setting 'accrual_backend'"):
+            make(base={**BASE, "accrual_backend": "scalar"})
 
     def test_wrong_type_value(self):
         with pytest.raises(ValueError, match="tlb_entries"):
@@ -106,6 +109,7 @@ class TestValidation:
             dict(axes={"seed": [1]}),
             dict(axes={"tlb_entries": []}),
             dict(axes={"tlb_entries": [256, 256]}),
+            dict(axes={"accrual_backend": ["scalar", "auto"]}),
         ]
         for kw in cases:
             with pytest.raises(ValueError) as e:
