@@ -20,7 +20,7 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every experiment.
 """
 
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy, run_study
+from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy, run_campaign, run_study
 from repro.analysis import (
     figure1,
     figure2,
@@ -41,6 +41,7 @@ __all__ = [
     "StudyConfig",
     "StudyDataset",
     "WorkloadStudy",
+    "run_campaign",
     "run_study",
     "table1",
     "table2",

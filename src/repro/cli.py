@@ -27,7 +27,18 @@ from repro.analysis import (
     table3,
     table4,
 )
-from repro.core.study import run_study
+from repro.cliargs import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    EXIT_USAGE,
+    add_campaign_args,
+    add_execution_args,
+    positive_int,
+    shard_plan,
+    study_config,
+)
+from repro.core.study import run_campaign
+from repro.parallel.runner import ShardExecutionError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,33 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sp2-study",
         description="Replay the NAS SP2 RS2HPM measurement campaign on the simulator.",
     )
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    p.add_argument("--days", type=int, default=30, help="campaign length in days")
-    p.add_argument("--nodes", type=int, default=144, help="cluster size")
-    p.add_argument("--users", type=int, default=60, help="user population size")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the campaign as day-range shards on N worker processes "
-        "(output depends on the shard plan, never on N)",
-    )
-    p.add_argument(
-        "--shard-days",
-        type=int,
-        default=None,
-        metavar="K",
-        help="days per shard for --workers (default 15); implies sharded "
-        "execution even with one worker",
-    )
-    p.add_argument(
-        "--fault-profile",
-        default=None,
-        metavar="NAME",
-        help="inject faults from a named profile (none, mild, pathological); "
-        "omitted = healthy campaign, byte-identical to earlier releases",
-    )
+    add_campaign_args(p, days=30)
+    add_execution_args(p)
     p.add_argument(
         "--checkpoint-dir",
         type=pathlib.Path,
@@ -79,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shard-attempts",
-        type=int,
+        type=positive_int,
         default=3,
         metavar="N",
         help="retry crashed shard workers up to N attempts total (default 3)",
@@ -108,14 +94,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.resume and args.checkpoint_dir is None:
         print("error: --resume requires --checkpoint-dir", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     t0 = time.time()
-    sharded = (
-        args.workers is not None
-        or args.shard_days is not None
-        or args.checkpoint_dir is not None
-    )
-    how = f", {args.workers or 1} workers" if sharded else ""
+    how = f", {args.workers} workers" if args.workers else ""
     faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
     print(
         f"Running {args.days}-day campaign on {args.nodes} nodes "
@@ -123,33 +104,25 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
     try:
-        dataset = run_study(
-            args.seed,
-            n_days=args.days,
-            n_nodes=args.nodes,
-            n_users=args.users,
-            workers=args.workers,
-            shard_days=args.shard_days,
-            fault_profile=args.fault_profile,
+        dataset = run_campaign(
+            study_config(args),
+            workers=args.workers or 1,
+            shard_days=shard_plan(args),
             checkpoint_dir=(
                 str(args.checkpoint_dir) if args.checkpoint_dir is not None else None
             ),
             resume=args.resume,
-            shard_attempts=args.shard_attempts,
+            max_attempts=args.shard_attempts,
         )
-    except Exception as err:  # noqa: BLE001 - operator-facing boundary
-        from repro.parallel.runner import ShardExecutionError
-
-        if isinstance(err, ShardExecutionError):
-            print(f"error: {err}", file=sys.stderr)
-            if args.checkpoint_dir is not None:
-                print(
-                    f"hint: rerun with --checkpoint-dir {args.checkpoint_dir} "
-                    "--resume to pick up from the completed shards",
-                    file=sys.stderr,
-                )
-            return 1
-        raise
+    except ShardExecutionError as err:
+        print(f"error: {err}", file=sys.stderr)
+        if args.checkpoint_dir is not None:
+            print(
+                f"hint: rerun with --checkpoint-dir {args.checkpoint_dir} "
+                "--resume to pick up from the completed shards",
+                file=sys.stderr,
+            )
+        return EXIT_OPERATIONAL
     print(f"Campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
 
     print(paper_comparison(dataset))
@@ -168,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
             "(check --days/--users)",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_OPERATIONAL
 
     if args.tables:
         print()
@@ -206,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         args.json.write_text(dataset_to_json(dataset))
         print(f"wrote {args.json}", file=sys.stderr)
 
-    return 0
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ analyses §5–§6 report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -332,65 +333,91 @@ class WorkloadStudy:
         )
 
 
+def run_campaign(
+    config: StudyConfig,
+    *,
+    workers: int = 1,
+    shard_days: int | None = None,
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
+    max_attempts: int = 3,
+    trace: CampaignTrace | None = None,
+    fault_namespace: tuple[int, ...] = (),
+    on_study: Callable[[WorkloadStudy], None] | None = None,
+) -> StudyDataset:
+    """Run one campaign — the only place that picks serial or sharded.
+
+    The campaign is sharded exactly when it has a shard plan:
+    ``shard_days`` is given, or ``checkpoint_dir`` is set (checkpoints
+    are per shard; the plan then uses
+    :data:`repro.parallel.plan.DEFAULT_SHARD_DAYS`).  ``workers`` only
+    sizes the shard process pool and never selects the path, so the
+    output is a function of ``(config, shard_days)`` alone
+    (docs/PARALLEL.md).
+
+    ``resume``/``max_attempts`` drive the sharded runner's
+    checkpoint-restart path.  ``trace`` replays a pre-built campaign
+    trace instead of generating one, and ``fault_namespace`` keys the
+    fault schedule's RNG tree (fleet members pass
+    :func:`repro.util.rng.member_key`; empty = the campaign root).
+    ``on_study`` is called with the wired :class:`WorkloadStudy` before
+    it runs — the seam live bus taps use.  A sharded campaign has no
+    live study (its telemetry is replayed at merge time), so
+    ``on_study`` is rejected there rather than silently skipped.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if shard_days is None and checkpoint_dir is None:
+        if resume:
+            raise ValueError("resume requires a checkpoint_dir")
+        fault_streams = (
+            RngStreams(config.seed, spawn_key=fault_namespace)
+            if fault_namespace
+            else None
+        )
+        study = WorkloadStudy(config, fault_streams=fault_streams)
+        if on_study is not None:
+            on_study(study)
+        return study.run(trace)
+    if on_study is not None:
+        raise ValueError(
+            "on_study requires the serial path (a sharded campaign replays "
+            "telemetry at merge time; stream the merged dataset instead)"
+        )
+    from repro.parallel.runner import run_parallel_study
+
+    return run_parallel_study(
+        config,
+        workers=workers,
+        shard_days=shard_days,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
+        max_attempts=max_attempts,
+        trace=trace,
+        fault_namespace=fault_namespace,
+    )
+
+
 def run_study(
     seed: int = 0,
     *,
     n_days: int = 270,
     n_nodes: int = 144,
     n_users: int = 60,
-    workers: int | None = None,
-    shard_days: int | None = None,
     fault_profile: "FaultProfile | str | None" = None,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
-    shard_attempts: int = 3,
 ) -> StudyDataset:
-    """One-call campaign: generate the trace, run it, return the data.
-
-    With ``workers`` and/or ``shard_days`` set, the campaign runs through
-    the sharded runner (:func:`repro.parallel.run_parallel_study`): split
-    into day-range shards, executed across worker processes, merged
-    deterministically.  The merged output depends on the shard plan but
-    never on the worker count.
+    """One-call serial campaign: generate the trace, run it, return the data.
 
     ``fault_profile`` (a profile object or a name from
-    :data:`repro.faults.PROFILES`) arms fault injection.
-    ``checkpoint_dir``/``resume``/``shard_attempts`` enable the runner's
-    checkpoint-restart path; they imply the sharded runner even without
-    ``workers``/``shard_days`` (a single-shard plan, still byte-identical
-    to the serial run).
+    :data:`repro.faults.PROFILES`) arms fault injection.  Sharded or
+    checkpointed execution goes through :func:`run_campaign`.
     """
-    profile = None
-    if fault_profile is not None:
-        profile = (
-            FaultProfile.named(fault_profile)
-            if isinstance(fault_profile, str)
-            else fault_profile
+    return run_campaign(
+        StudyConfig(
+            seed=seed,
+            n_days=n_days,
+            n_nodes=n_nodes,
+            n_users=n_users,
+            fault_profile=FaultProfile.resolve(fault_profile),
         )
-        if profile.is_null:
-            profile = None
-    cfg = StudyConfig(
-        seed=seed,
-        n_days=n_days,
-        n_nodes=n_nodes,
-        n_users=n_users,
-        fault_profile=profile,
-    )
-    sharded = (
-        workers is not None
-        or shard_days is not None
-        or checkpoint_dir is not None
-        or resume
-    )
-    if not sharded:
-        return WorkloadStudy(cfg).run()
-    from repro.parallel.runner import run_parallel_study
-
-    return run_parallel_study(
-        cfg,
-        workers=workers or 1,
-        shard_days=shard_days,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        max_attempts=shard_attempts,
     )

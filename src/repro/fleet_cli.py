@@ -22,16 +22,17 @@ import json
 import sys
 import time
 
+from repro.cliargs import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    EXIT_USAGE,
+    add_execution_args,
+    positive_int,
+    shard_plan,
+)
 from repro.fleet.analysis import compare_fleets, fleet_summary, render_fleet_report
 from repro.fleet.runner import run_fleet
 from repro.fleet.spec import PRESETS, ROUTING_POLICIES, FleetSpec
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _load_json(path: str) -> dict:
@@ -66,14 +67,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         spec = _build_spec(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     t0 = time.time()
     print(
         f"Running fleet {spec.name!r}: {len(spec.members)} centers, "
         f"{spec.total_nodes} nodes, {spec.n_days} days, seed {spec.seed}...",
         file=sys.stderr,
     )
-    fleet = run_fleet(spec, workers=args.workers, shard_days=args.shard_days)
+    fleet = run_fleet(spec, workers=args.workers or 1, shard_days=shard_plan(args))
     print(f"Fleet campaign done in {time.time() - t0:.1f}s.", file=sys.stderr)
     document = {"spec": spec.to_dict(), **fleet_summary(fleet)}
     if args.out is not None:
@@ -94,8 +95,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             "error: fleet campaign finished zero jobs — nothing was measured",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        return EXIT_OPERATIONAL
+    return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -106,9 +107,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             "'sp2-fleet run --out' file?",
             file=sys.stderr,
         )
-        return 2
+        return EXIT_USAGE
     print(render_fleet_report(document))
-    return 0
+    return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -116,10 +117,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for path, doc in zip((args.a, args.b), docs):
         if "fleet" not in doc:
             print(f"error: {path!r} has no 'fleet' block", file=sys.stderr)
-            return 2
+            return EXIT_USAGE
     table = compare_fleets(docs[0], docs[1], label_a=args.a, label_b=args.b)
     print(table.render())
-    return 0
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -144,29 +145,16 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--spec", metavar="FILE", default=None, help="fleet definition JSON file"
     )
-    p_run.add_argument("--days", type=_positive_int, default=None, help="override n_days")
+    p_run.add_argument("--days", type=positive_int, default=None, help="override n_days")
     p_run.add_argument("--seed", type=int, default=None, help="override the fleet seed")
-    p_run.add_argument("--users", type=_positive_int, default=None, help="override n_users")
+    p_run.add_argument("--users", type=positive_int, default=None, help="override n_users")
     p_run.add_argument(
         "--routing",
         choices=ROUTING_POLICIES,
         default=None,
         help="override the routing policy",
     )
-    p_run.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="run each member campaign through the sharded runner on N workers",
-    )
-    p_run.add_argument(
-        "--shard-days",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="days per shard for --workers",
-    )
+    add_execution_args(p_run)
     p_run.add_argument(
         "--json", action="store_true", help="print the fleet block as JSON"
     )

@@ -183,15 +183,15 @@ async def ingest_fleet(
     name: str,
     spec: FleetSpec,
     *,
-    workers: int | None = None,
+    workers: int = 1,
     shard_days: int | None = None,
 ) -> FleetDataset:
     """Run a fleet campaign into the hub under federated namespaces.
 
     Serial fleets stream live (member by member, as they run); sharded
-    fleets run first and replay after the merge — the sharded runner
-    rebuilds member telemetry at merge time, so there is no live bus to
-    tap mid-flight.
+    fleets (a ``shard_days`` plan) run first and replay after the merge
+    — the sharded runner rebuilds member telemetry at merge time, so
+    there is no live bus to tap mid-flight.
     """
     members = tuple(m.name for m in spec.members)
     hub.register(
@@ -201,8 +201,7 @@ async def ingest_fleet(
         node_weights={m.name: m.n_nodes for m in spec.members},
         meta={"seed": spec.seed, "n_days": spec.n_days, "routing": spec.routing},
     )
-    sharded = workers is not None or shard_days is not None
-    if sharded:
+    if shard_days is not None:
         try:
             fleet = await asyncio.to_thread(
                 run_fleet, spec, workers=workers, shard_days=shard_days

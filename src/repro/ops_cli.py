@@ -30,16 +30,21 @@ import pathlib
 import sys
 import time
 
-from repro.core.study import StudyConfig, StudyDataset, WorkloadStudy, run_study
+from repro.cliargs import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    EXIT_USAGE,
+    add_campaign_args,
+    add_execution_args,
+    positive_int,
+    shard_plan,
+    study_config,
+)
+from repro.core.study import StudyDataset, WorkloadStudy, run_campaign
 from repro.telemetry.rules import render_alert, render_alerts
 from repro.telemetry.service import METRIC_CATALOG, TelemetryService
+from repro.tracing.tracer import Tracer
 from repro.workload.traces import SECONDS_PER_DAY
-
-#: Exit-code convention shared by every sp2-* CLI (CONTRIBUTING.md):
-#: 0 = success, 1 = operational failure (ran but measured/served
-#: nothing, or the service died), 2 = usage error (bad arguments,
-#: unknown names).
-EXIT_OK, EXIT_OPERATIONAL, EXIT_USAGE = 0, 1, 2
 
 
 def _fmt_time(t: float) -> str:
@@ -48,57 +53,31 @@ def _fmt_time(t: float) -> str:
     return f"d{int(day):03d} {hh:02d}:{mm:02d}"
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _add_campaign_args(p: argparse.ArgumentParser) -> None:
+    add_campaign_args(p, days=3)
+    add_execution_args(p)
 
 
-def add_campaign_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    p.add_argument("--days", type=_positive_int, default=3, help="campaign length in days")
-    p.add_argument("--nodes", type=_positive_int, default=144, help="cluster size")
-    p.add_argument("--users", type=_positive_int, default=60, help="user population size")
-    p.add_argument(
-        "--fault-profile",
-        default=None,
-        metavar="NAME",
-        help="inject faults from a named profile (none, mild, pathological)",
-    )
-    p.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="replay the campaign through the sharded runner on N workers",
-    )
-    p.add_argument(
-        "--shard-days",
-        type=_positive_int,
-        default=None,
-        metavar="K",
-        help="days per shard for --workers",
-    )
+def _replay(args: argparse.Namespace, tracer: Tracer | None = None) -> StudyDataset:
+    """Run the campaign the flags describe, narrating on stderr.
 
-
-def run_campaign(args: argparse.Namespace) -> StudyDataset:
+    A traced campaign builds its study directly: the tracer is wired in
+    at construction, and ``main`` has already rejected a shard plan.
+    """
     t0 = time.time()
     faulty = f", faults={args.fault_profile}" if args.fault_profile else ""
+    traced = ", traced" if tracer is not None else ""
     print(
         f"Replaying {args.days}-day campaign on {args.nodes} nodes "
-        f"(seed {args.seed}, {args.users} users{faulty})...",
+        f"(seed {args.seed}, {args.users} users{faulty}{traced})...",
         file=sys.stderr,
     )
-    dataset = run_study(
-        args.seed,
-        n_days=args.days,
-        n_nodes=args.nodes,
-        n_users=args.users,
-        workers=args.workers,
-        shard_days=args.shard_days,
-        fault_profile=args.fault_profile,
-    )
+    if tracer is not None:
+        dataset = WorkloadStudy(study_config(args), tracer=tracer).run()
+    else:
+        dataset = run_campaign(
+            study_config(args), workers=args.workers or 1, shard_days=shard_plan(args)
+        )
     print(f"Replay done in {time.time() - t0:.1f}s.", file=sys.stderr)
     return dataset
 
@@ -278,47 +257,12 @@ def cmd_jobs(dataset: StudyDataset, args: argparse.Namespace) -> int:
 # The service verbs (PR 7): serve / report / ask
 # ----------------------------------------------------------------------
 
-def _study_config(args: argparse.Namespace) -> StudyConfig:
-    profile = None
-    if args.fault_profile:
-        from repro.faults.profile import FaultProfile
-
-        profile = FaultProfile.named(args.fault_profile)
-        if profile.is_null:
-            profile = None
-    return StudyConfig(
-        seed=args.seed,
-        n_days=args.days,
-        n_nodes=args.nodes,
-        n_users=args.users,
-        fault_profile=profile,
-    )
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     """One job's performance page, from a replayed campaign."""
     from repro.ops import CampaignHub, UnknownJob
     from repro.ops.ingest import replay_into_hub
-    from repro.tracing.tracer import Tracer
 
-    if args.trace and (args.workers or args.shard_days):
-        print(
-            "error: --trace needs the serial runner (drop --workers/--shard-days)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    if args.workers or args.shard_days:
-        dataset = run_campaign(args)
-    else:
-        t0 = time.time()
-        print(
-            f"Replaying {args.days}-day campaign on {args.nodes} nodes "
-            f"(seed {args.seed}{', traced' if args.trace else ''})...",
-            file=sys.stderr,
-        )
-        tracer = Tracer() if args.trace else None
-        dataset = WorkloadStudy(_study_config(args), tracer=tracer).run()
-        print(f"Replay done in {time.time() - t0:.1f}s.", file=sys.stderr)
+    dataset = _replay(args, Tracer() if args.trace else None)
     if len(dataset.accounting) == 0:
         print(
             "error: campaign finished zero jobs — nothing to report on",
@@ -388,8 +332,8 @@ async def _serve(args: argparse.Namespace) -> int:
             hub,
             args.name,
             PRESETS[args.fleet],
-            workers=args.workers,
-            shard_days=args.shard_days,
+            workers=args.workers or 1,
+            shard_days=shard_plan(args),
         )
         jobs = sum(len(m.dataset.accounting) for m in fleet.members)
         if args.json is not None:
@@ -401,10 +345,10 @@ async def _serve(args: argparse.Namespace) -> int:
                 json.dumps(document, indent=2, sort_keys=True) + "\n"
             )
             print(f"wrote {args.json}", file=sys.stderr)
-    elif args.workers or args.shard_days:
+    elif shard_plan(args) is not None:
         # The sharded runner has no live bus; run it out, then replay
         # through the canonical ordering — same end state.
-        dataset = await asyncio.to_thread(run_campaign, args)
+        dataset = await asyncio.to_thread(_replay, args)
         hub.register(args.name, kind="single", meta={"seed": args.seed})
         replay_into_hub(hub, args.name, dataset)
         hub.complete(args.name, {"jobs": len(dataset.accounting)})
@@ -412,7 +356,7 @@ async def _serve(args: argparse.Namespace) -> int:
         _write_dataset_json(args, dataset)
     else:
         dataset = await ingest_study(
-            hub, args.name, _study_config(args), trace=args.trace
+            hub, args.name, study_config(args), trace=args.trace
         )
         jobs = len(dataset.accounting)
         _write_dataset_json(args, dataset)
@@ -537,19 +481,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     p_alerts = sub.add_parser("alerts", help="alerts fired during the campaign")
-    add_campaign_args(p_alerts)
+    _add_campaign_args(p_alerts)
     p_alerts.add_argument("--rule", default=None, help="only this rule's alerts")
     p_alerts.set_defaults(func=cmd_alerts)
 
     p_tail = sub.add_parser("tail", help="the 15-minute live feed, alerts inline")
-    add_campaign_args(p_tail)
+    _add_campaign_args(p_tail)
     p_tail.add_argument(
         "--limit", type=int, default=48, help="show the last N intervals (0 = all)"
     )
     p_tail.set_defaults(func=cmd_tail)
 
     p_query = sub.add_parser("query", help="campaign-wide statistics for one metric")
-    add_campaign_args(p_query)
+    _add_campaign_args(p_query)
     p_query.add_argument("--metric", required=True, help="metric name (see docs/TELEMETRY.md)")
     p_query.add_argument("--day-from", type=int, default=None, help="window start day")
     p_query.add_argument("--day-to", type=int, default=None, help="window end day (inclusive)")
@@ -557,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.set_defaults(func=cmd_query)
 
     p_jobs = sub.add_parser("jobs", help="finished-job rollups")
-    add_campaign_args(p_jobs)
+    _add_campaign_args(p_jobs)
     p_jobs.add_argument("--top", type=int, default=15, help="show the top N by Mflops (0 = all)")
     p_jobs.add_argument("--user", type=int, default=None, help="only this user's jobs")
     p_jobs.set_defaults(func=cmd_jobs)
@@ -565,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser(
         "report", help="one finished job's performance page (MPCDF-style)"
     )
-    add_campaign_args(p_report)
+    _add_campaign_args(p_report)
     p_report.add_argument("--job", type=int, required=True, help="finished job id")
     p_report.add_argument(
         "--trace",
@@ -577,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve", help="run a campaign into the resident hub and serve the query API"
     )
-    add_campaign_args(p_serve)
+    _add_campaign_args(p_serve)
     p_serve.add_argument("--name", default="campaign", help="campaign name in the hub")
     p_serve.add_argument(
         "--fleet",
@@ -606,17 +550,17 @@ def build_parser() -> argparse.ArgumentParser:
         "detached sp2-study --json run)",
     )
     p_serve.add_argument(
-        "--max-campaigns", type=_positive_int, default=8, help="resident campaign cap"
+        "--max-campaigns", type=positive_int, default=8, help="resident campaign cap"
     )
     p_serve.add_argument(
         "--store-capacity",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help="per-metric ring capacity",
     )
     p_serve.add_argument(
         "--max-series",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help="per-store series cap (least-recently-appended eviction)",
     )
@@ -657,12 +601,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "trace", False) and shard_plan(args) is not None:
+        print(
+            "error: --trace needs the serial runner (drop --workers/--shard-days)",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     try:
         if getattr(args, "standalone", False):
             # serve/report/ask drive their own campaign (or none at all).
             return args.func(args)
-        dataset = run_campaign(args)
-        return args.func(dataset, args)
+        return args.func(_replay(args), args)
     except BrokenPipeError:
         # Downstream closed the pipe (| head, | grep -q): not our error.
         import os

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.core.study import StudyConfig, WorkloadStudy
+from repro.core.study import StudyConfig, run_campaign
 from repro.parallel.runner import _pool_context
 from repro.stats.metrics import DEFAULT_TARGET_METRIC, collect_metrics
 from repro.stats.repeater import Repeater, RepeatResult
@@ -45,13 +45,7 @@ class ConfigRepeatSpec:
             if seed == self.config.seed
             else dataclasses.replace(self.config, seed=seed)
         )
-        if self.shard_days is not None:
-            from repro.parallel.runner import run_parallel_study
-
-            dataset = run_parallel_study(cfg, workers=1, shard_days=self.shard_days)
-        else:
-            dataset = WorkloadStudy(cfg).run()
-        return collect_metrics(dataset)
+        return collect_metrics(run_campaign(cfg, shard_days=self.shard_days))
 
 
 def _config_repeat_task(payload: tuple[ConfigRepeatSpec, int]) -> dict[str, float]:

@@ -21,8 +21,15 @@ from repro.stats.annotate import (
     repeat_summary,
     repeat_tables,
 )
-from repro.core.study import StudyConfig
-from repro.faults.profile import FaultProfile
+from repro.cliargs import (
+    EXIT_OK,
+    EXIT_OPERATIONAL,
+    EXIT_USAGE,
+    add_campaign_args,
+    add_execution_args,
+    positive_int,
+    study_config,
+)
 from repro.stats.campaign import CampaignRepeater, ConfigRepeatSpec
 from repro.stats.metrics import DEFAULT_TARGET_METRIC
 from repro.stats.stopping import HalfWidthRule, KSStableRule, RSERule
@@ -44,15 +51,13 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         help="comma-separated explicit seed list; runs all of them (no "
         "adaptive stopping) and is invariant to --batch and --workers",
     )
-    p.add_argument("--days", type=int, default=30, help="campaign length in days")
-    p.add_argument("--nodes", type=int, default=144, help="cluster size")
-    p.add_argument("--users", type=int, default=60, help="user population size")
+    add_campaign_args(p, days=30, seed=False)
     p.add_argument(
-        "--batch", type=int, default=8, metavar="N",
+        "--batch", type=positive_int, default=8, metavar="N",
         help="repeats per batch between rule evaluations (default 8)",
     )
     p.add_argument(
-        "--max-repeats", type=int, default=256, metavar="N",
+        "--max-repeats", type=positive_int, default=256, metavar="N",
         help="unconditional repeat cutoff (default 256)",
     )
     p.add_argument(
@@ -77,17 +82,12 @@ def build_repeat_parser() -> argparse.ArgumentParser:
         "--confidence", type=float, default=0.95, metavar="C",
         help="confidence level for every reported interval (default 0.95)",
     )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run each batch's seeds across N worker processes (samples "
-        "are per-seed pure functions: output never depends on N)",
+    add_execution_args(
+        p,
+        workers_help="run each batch's seeds across N worker processes "
+        "(samples are per-seed pure functions: output never depends on N; "
+        "campaigns shard only with --shard-days)",
     )
-    p.add_argument(
-        "--shard-days", type=int, default=None, metavar="K",
-        help="shard each campaign's day range (forwarded to the shard "
-        "runner; part of the experiment definition)",
-    )
-    p.add_argument("--fault-profile", default=None, metavar="NAME")
     p.add_argument("--tables", action="store_true", help="print Tables 1-4 with CIs")
     p.add_argument(
         "--json", type=pathlib.Path, default=None,
@@ -105,10 +105,6 @@ def _parse_seeds(text: str) -> list[int]:
 
 def repeat_main(argv: list[str] | None = None) -> int:
     args = build_repeat_parser().parse_args(argv)
-    if args.batch < 1 or args.max_repeats < 1:
-        print("error: --batch and --max-repeats must be positive", file=sys.stderr)
-        return 2
-
     rules = []
     if args.target_rse is not None:
         rules.append(RSERule(args.target_rse))
@@ -123,22 +119,7 @@ def repeat_main(argv: list[str] | None = None) -> int:
         # rule so a bare `sp2-study repeat` still stops on convergence.
         rules.append(RSERule(0.05))
 
-    try:
-        profile = (
-            FaultProfile.named(args.fault_profile)
-            if args.fault_profile is not None
-            else None
-        )
-        config = StudyConfig(
-            n_days=args.days,
-            n_nodes=args.nodes,
-            n_users=args.users,
-            fault_profile=None if profile is None or profile.is_null else profile,
-        )
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    spec = ConfigRepeatSpec(config, shard_days=args.shard_days)
+    spec = ConfigRepeatSpec(study_config(args), shard_days=args.shard_days)
     rule_names = ", ".join(r.describe() for r in rules) or "none"
     how = (
         f"fixed seeds {seeds}" if seeds is not None
@@ -175,7 +156,7 @@ def repeat_main(argv: list[str] | None = None) -> int:
         result = repeater.run(seed0=args.seed0, seeds=seeds)
     except KeyError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     print(
         f"Stopped after {result.n} campaigns in {time.time() - t0:.1f}s "
         f"(rule={result.stopped.rule}: {result.stopped.detail}).",
@@ -190,7 +171,7 @@ def repeat_main(argv: list[str] | None = None) -> int:
             "was measured (check --days/--users)",
             file=sys.stderr,
         )
-        return 1
+        return EXIT_OPERATIONAL
 
     print(repeat_headline_block(result))
     est = result.estimate(args.metric)
@@ -220,4 +201,4 @@ def repeat_main(argv: list[str] | None = None) -> int:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {args.json}", file=sys.stderr)
-    return 0
+    return EXIT_OK

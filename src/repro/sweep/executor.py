@@ -1,11 +1,10 @@
 """Run a :class:`~repro.sweep.planner.SweepPlan`'s cells.
 
 Each cell runs through the machinery the rest of the repo already
-trusts: the serial study, the sharded runner (when the spec asks for a
-shard plan or the caller supplies workers), or — when the spec carries a
-``repeat`` block — the :mod:`repro.stats` Repeater, so every cell's
-metrics arrive as ``mean ± hw [n, rule]`` estimates instead of single
-realizations.
+trusts: :func:`repro.core.study.run_campaign` (sharded only when the
+spec has ``shard_days``), or — when the spec carries a ``repeat`` block
+— the :mod:`repro.stats` Repeater, so every cell's metrics arrive as
+``mean ± hw [n, rule]`` estimates instead of single realizations.
 
 A cell with **no axes applied** produces *exactly* the dataset summary
 ``sp2-study --json`` writes at the same settings — the degeneracy
@@ -22,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis.export import dataset_summary
+from repro.core.study import run_campaign
 from repro.stats.campaign import ConfigRepeatSpec, make_config_batch_runner
 from repro.stats.metrics import collect_metrics
 from repro.stats.repeater import Repeater
@@ -112,16 +112,7 @@ class SweepResult:
 # Cell execution
 # ----------------------------------------------------------------------
 def _run_single(cell: Cell, spec: SweepSpec, workers: int) -> dict[str, Any]:
-    if workers > 1 or spec.shard_days is not None:
-        from repro.parallel.runner import run_parallel_study
-
-        dataset = run_parallel_study(
-            cell.config, workers=max(workers, 1), shard_days=spec.shard_days
-        )
-    else:
-        from repro.core.study import WorkloadStudy
-
-        dataset = WorkloadStudy(cell.config).run()
+    dataset = run_campaign(cell.config, workers=workers, shard_days=spec.shard_days)
     return {
         "summary": dataset_summary(dataset),
         "metrics": collect_metrics(dataset),
@@ -208,8 +199,8 @@ def run_sweep(
     """Execute every planned cell, serving unchanged ones from cache.
 
     ``force`` recomputes (and re-caches) every cell; ``workers`` spreads
-    each cell's shards or repeat seeds across processes — never changing
-    output, only wall time.
+    each cell's shards or repeat seeds across processes when the spec
+    has them — never changing output, only wall time.
     """
     results: list[CellResult] = []
     for cell in plan.cells:

@@ -27,9 +27,11 @@ from repro.core.study import StudyConfig
 from repro.parallel.checkpoint import sha256_fingerprint
 from repro.sweep.spec import AXES, SweepSpec, resolve_config
 
-#: Bump when the cell document layout changes incompatibly; stale cache
-#: entries are then recomputed instead of mis-read.
-CELL_VERSION = 1
+#: Bump when the cell document layout changes incompatibly, or a cell's
+#: content changes under the same config; stale cache entries are then
+#: recomputed instead of mis-read.  v2: ``workers`` no longer shards a
+#: cell without ``shard_days``.
+CELL_VERSION = 2
 
 
 def format_value(value: Any) -> str:

@@ -398,12 +398,6 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
             ),
         )
 
-    profile = None
-    if settings.get("fault_profile") is not None:
-        profile = FaultProfile.named(settings["fault_profile"])
-        if profile.is_null:
-            profile = None
-
     return StudyConfig(
         seed=int(settings.get("seed", 0)),
         n_days=int(settings.get("n_days", 30)),
@@ -416,7 +410,7 @@ def resolve_config(settings: Mapping[str, Any]) -> StudyConfig:
             if settings.get("demand_mean") is not None
             else None
         ),
-        fault_profile=profile,
+        fault_profile=FaultProfile.resolve(settings.get("fault_profile")),
         scheduler_policy=settings.get("scheduler_policy", "backfill"),
         scheduler_wide_threshold=int(settings.get("scheduler_wide_threshold", 64)),
     )

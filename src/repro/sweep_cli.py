@@ -28,6 +28,7 @@ import pathlib
 import sys
 import time
 
+from repro.cliargs import EXIT_OK, EXIT_OPERATIONAL, EXIT_USAGE, positive_int
 from repro.sweep.cache import load_cell
 from repro.sweep.executor import run_sweep
 from repro.sweep.planner import (
@@ -80,7 +81,7 @@ def _load_document(path: str) -> dict:
 def cmd_axes(args: argparse.Namespace) -> int:
     print("Sweepable axes (base settings use the same names):")
     print(axis_help())
-    return 0
+    return EXIT_OK
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
@@ -89,7 +90,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         plan = plan_sweep(spec, only=_parse_only(spec, args.only))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     cached: set[str] = set()
     if args.cache_dir is not None:
         cached = {
@@ -101,13 +102,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if plan.n_cells == 0:
         print("error: plan selected zero cells (--only filtered everything out)",
               file=sys.stderr)
-        return 1
+        return EXIT_OPERATIONAL
     reusable = len(cached)
     print(
         f"\ncells: {plan.n_cells} planned, {plan.n_cells - reusable} to "
         f"execute, {reusable} cached"
     )
-    return 0
+    return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -116,11 +117,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         plan = plan_sweep(spec, only=_parse_only(spec, args.only))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     if plan.n_cells == 0:
         print("error: plan selected zero cells (--only filtered everything out)",
               file=sys.stderr)
-        return 1
+        return EXIT_OPERATIONAL
 
     t0 = time.time()
     print(
@@ -178,8 +179,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             + ", ".join(empty),
             file=sys.stderr,
         )
-        return 1
-    return 0
+        return EXIT_OPERATIONAL
+    return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -188,8 +189,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         print(render_sweep_report(document))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _resolve_name(document: dict, text: str) -> str:
@@ -213,8 +214,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         print(render_compare(document, a, b))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -249,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute the sweep (cache-aware)")
     add_common(p_run)
-    p_run.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="processes per cell (shards or repeat seeds); "
-                       "never changes output, only wall time")
+    p_run.add_argument("--workers", type=positive_int, default=None, metavar="N",
+                       help="processes per cell, used only when the spec has "
+                       "shards (shard_days) or repeat seeds; never changes "
+                       "output, only wall time")
     p_run.add_argument("--force", action="store_true",
                        help="recompute every cell, ignoring the cache")
     p_run.add_argument("--out", type=pathlib.Path, default=None, metavar="FILE",
@@ -286,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
         import os
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 0
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.study import StudyConfig, WorkloadStudy, run_study
+from repro.core.study import StudyConfig, WorkloadStudy, run_campaign, run_study
 from repro.workload.traces import generate_trace
 
 
@@ -85,3 +85,16 @@ class TestConsistency:
         u = small_dataset.daily_utilization()
         # Performance requires utilization: the top-G day cannot be idle.
         assert u[int(np.argmax(g))] > 0.2
+
+
+class TestRunCampaign:
+    def test_on_study_sees_the_serial_study_and_is_rejected_with_a_plan(self):
+        cfg = StudyConfig(seed=2, n_days=1, n_nodes=8, n_users=2)
+        seen = []
+        dataset = run_campaign(cfg, workers=4, on_study=seen.append)
+        assert len(seen) == 1 and seen[0].config is cfg  # workers never shard
+        assert dataset.config is cfg
+        with pytest.raises(ValueError, match="on_study"):
+            run_campaign(cfg, shard_days=1, on_study=seen.append)
+        with pytest.raises(ValueError, match="checkpoint_dir"):
+            run_campaign(cfg, resume=True)

@@ -75,6 +75,15 @@ class TestNamed:
         assert not PROFILES["mild"].is_null
         assert not PROFILES["pathological"].is_null
 
+    def test_resolve_maps_null_to_healthy(self):
+        custom = FaultProfile(node_mtbf_days=5.0)
+        assert FaultProfile.resolve("mild") is PROFILES["mild"]
+        assert FaultProfile.resolve(custom) is custom
+        for healthy in (None, "none", FaultProfile()):
+            assert FaultProfile.resolve(healthy) is None
+        with pytest.raises(ValueError, match="unknown fault profile"):
+            FaultProfile.resolve("catastrophic")
+
 
 class TestDataBehaviour:
     def test_profile_is_hashable_and_picklable(self):

@@ -80,13 +80,13 @@ class TestEmptyCampaignExit:
         import repro.cli
         from repro.pbs.accounting import AccountingLog
 
-        real = repro.cli.run_study
+        real = repro.cli.run_campaign
 
         def empty_run(*args, **kwargs):
             dataset = real(*args, **kwargs)
             return dataclasses.replace(dataset, accounting=AccountingLog())
 
-        monkeypatch.setattr(repro.cli, "run_study", empty_run)
+        monkeypatch.setattr(repro.cli, "run_campaign", empty_run)
         rc = main(["--days", "2", "--nodes", "16", "--users", "4"])
         assert rc == 1
         assert "zero jobs" in capsys.readouterr().err

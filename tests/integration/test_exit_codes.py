@@ -68,3 +68,36 @@ class TestUsageErrors:
         spec = tmp_path / "s.yaml"
         spec.write_text("name: s\naxes:\n  bogus: [1]\n")
         assert repro.sweep_cli.main(["plan", "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize(
+        "main, argv",
+        [
+            pytest.param(repro.cli.main, ["--days", "0"], id="study-days-0"),
+            pytest.param(repro.cli.main, ["--nodes", "-1"], id="study-nodes-neg"),
+            pytest.param(repro.cli.main, ["--shard-days", "0"], id="study-shard-days-0"),
+            pytest.param(repro.cli.main, ["--workers", "0"], id="study-workers-0"),
+            pytest.param(
+                repro.cli.main, ["--fault-profile", "bogus"], id="study-bad-profile"
+            ),
+            pytest.param(repro.trace_cli.main, ["record", "--days", "0"], id="trace-days-0"),
+            pytest.param(
+                repro.ops_cli.main,
+                ["alerts", "--fault-profile", "bogus"],
+                id="ops-bad-profile",
+            ),
+        ],
+    )
+    def test_bad_campaign_flag(self, main, argv, capsys, monkeypatch):
+        """A bad campaign flag is a one-line usage error, raised before
+        any campaign starts."""
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a campaign started")
+
+        monkeypatch.setattr("repro.core.study.WorkloadStudy.run", no_campaign)
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1

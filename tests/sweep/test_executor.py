@@ -46,11 +46,16 @@ class TestDegeneracy:
         assert document["summary"] == expected
 
     def test_workers_do_not_change_the_document(self):
-        spec = make(shard_days=1)
-        plan = plan_sweep(spec)
-        one = execute_cell(plan.cells[0], spec, workers=1)
-        two = execute_cell(plan.cells[0], spec, workers=2)
-        assert one == two
+        for spec in (
+            make(shard_days=1),
+            # No shard plan, longer than one default shard: workers must
+            # not turn the serial cell into a sharded one.
+            make(base={**TINY, "n_days": 16}),
+        ):
+            plan = plan_sweep(spec)
+            one = execute_cell(plan.cells[0], spec, workers=1)
+            two = execute_cell(plan.cells[0], spec, workers=2)
+            assert one == two
 
 
 class TestCaching:
