@@ -21,9 +21,10 @@ from repro.faults.profile import FaultProfile
 from repro.power2.config import MachineConfig, SwitchConfig
 from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemCollector
 from repro.hpm.daemon import NodeDaemon
-from repro.hpm.derived import DerivedRates, workload_rates
+from repro.hpm.derived import DerivedRates, system_gflops, workload_rates
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.scheduler import PBSServer
+from repro.power2.counters import flat_index
 from repro.sim.engine import Simulator
 from repro.telemetry.bus import EventBus
 from repro.telemetry.service import TelemetryService
@@ -118,6 +119,9 @@ class StudyDataset:
     tracer: Tracer | None = None
     #: Fault-injection record (None = campaign ran without faults).
     faults: FaultLog | None = None
+    _daily_rates: list[DerivedRates] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Day-level series (the paper's Figure 1 axes)
@@ -128,22 +132,29 @@ class StudyDataset:
         Intervals are grouped by the calendar day their *start* falls in
         rather than by position, so collector gaps (dropped passes under
         fault injection) don't shift later days; a gap-spanning interval
-        simply contributes its counts to the day it started in.
+        simply contributes its counts to the day it started in.  The
+        series stops at the first day with no interval.  Built once per
+        dataset.
         """
+        if self._daily_rates is None:
+            self._daily_rates = self._compute_daily_rates()
+        return list(self._daily_rates)
+
+    def _compute_daily_rates(self) -> list[DerivedRates]:
+        t = self.collector.interval_table()
+        if not len(t):
+            return []
+        # Interval starts are increasing, so each day is one run of rows.
+        days = (t.start // SECONDS_PER_DAY).astype(np.int64)
+        firsts = np.flatnonzero(np.diff(days, prepend=-1))
+        lasts = np.append(firsts[1:], len(days)) - 1
+        sums = np.add.reduceat(t.rows, firsts, axis=0)
         out: list[DerivedRates] = []
-        grouped: dict[int, list] = {}
-        for iv in self.collector.intervals():
-            grouped.setdefault(int(iv.start // SECONDS_PER_DAY), []).append(iv)
-        for d in range(self.config.n_days):
-            chunk = grouped.get(d)
-            if not chunk:
+        for d, (day, first, last) in enumerate(zip(days[firsts], firsts, lasts)):
+            if day != d or d >= self.config.n_days:
                 break
-            totals: dict[str, int] = {}
-            for iv in chunk:
-                for k, v in iv.totals.items():
-                    totals[k] = totals.get(k, 0) + v
-            seconds = chunk[-1].end - chunk[0].start
-            out.append(workload_rates(totals, seconds, self.config.n_nodes))
+            seconds = float(t.end[last] - t.start[first])
+            out.append(workload_rates(sums[d], seconds, self.config.n_nodes))
         return out
 
     def daily_gflops(self) -> np.ndarray:
@@ -152,30 +163,19 @@ class StudyDataset:
     def interval_gflops(self) -> tuple[np.ndarray, np.ndarray]:
         """(interval end times, system Gflops) at the 15-minute cadence —
         the series behind the paper's 5.7 Gflops 15-minute maximum."""
-        ivs = self.collector.intervals()
-        times = np.array([iv.end for iv in ivs])
-        rates = np.empty(len(ivs))
-        for i, iv in enumerate(ivs):
-            r = workload_rates(iv.totals, iv.seconds, self.config.n_nodes)
-            rates[i] = r.gflops_system()
-        return times, rates
+        t = self.collector.interval_table()
+        return t.end.copy(), system_gflops(t.rows, t.seconds, self.config.n_nodes)
 
     def interval_dma_bytes_per_node(self) -> tuple[np.ndarray, np.ndarray]:
         """(interval ends, per-node DMA bytes/s) — §5's message-passing
         traffic series (avg ≈1.3 MB/s, best 15-minute ≈5.4 MB/s)."""
         from repro.power2.node import DMA_TRANSFER_BYTES
 
-        ivs = self.collector.intervals()
-        times = np.array([iv.end for iv in ivs])
-        rates = np.array(
-            [
-                (iv.totals.get("user.dma_read", 0) + iv.totals.get("user.dma_write", 0))
-                * DMA_TRANSFER_BYTES
-                / (iv.seconds * max(iv.n_nodes, 1))
-                for iv in ivs
-            ]
-        )
-        return times, rates
+        t = self.collector.interval_table()
+        rows = t.rows
+        transfers = rows[:, flat_index("user.dma_read")] + rows[:, flat_index("user.dma_write")]
+        rates = transfers * DMA_TRANSFER_BYTES / (t.seconds * np.maximum(t.n_nodes, 1))
+        return t.end.copy(), rates
 
     def daily_utilization(self) -> np.ndarray:
         """Fraction of node-time servicing PBS jobs, per day (§5's 64%)."""

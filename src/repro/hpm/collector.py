@@ -3,9 +3,10 @@
 §3: "At 15-minute intervals, the cron daemon runs a script to collect
 data from all the SP2 nodes which are available for user jobs and stores
 this data for later analysis."  The collector polls every node daemon,
-stores one :class:`SystemSample` per interval, and the analysis layer
-differences consecutive samples to build the daily/15-minute rate series
-behind Figure 1 and the 5.7 Gflops 15-minute maximum.
+stores one :class:`SystemSample` per interval, and differences it
+against the previous sample into one 44-wide interval row; the analysis
+layer builds the daily/15-minute rate series behind Figure 1 and the
+5.7 Gflops 15-minute maximum from those rows.
 
 Storage is an ``(n_nodes, 44)`` int64 matrix per sample (user bank then
 system bank, see :data:`repro.power2.counters.FLAT_NAMES`); a 270-day
@@ -16,13 +17,14 @@ vectorized (profiled: the dict-based path was 30× slower).
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.hpm.daemon import DaemonUnavailable, NodeDaemon
-from repro.power2.counters import FLAT_NAMES
+from repro.power2.counters import FLAT_NAMES, ROW_SIZE, flat_index
 from repro.sim.engine import Simulator
 from repro.sim.periodic import PeriodicTask
 
@@ -32,6 +34,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: The paper's sampling cadence.
 SAMPLE_INTERVAL_SECONDS = 15 * 60.0
+
+_AVAILABLE = operator.attrgetter("available")
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,15 @@ class SystemSample:
         return {name: int(v) for name, v in zip(FLAT_NAMES, row)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalCounts:
     """Summed counter deltas between two consecutive samples."""
 
     start: float
     end: float
-    totals: dict[str, int]
+    #: The deltas summed over the nodes present in both samples: a
+    #: read-only int64 row in :data:`FLAT_NAMES` order.
+    row: np.ndarray
     n_nodes: int
     #: True when this interval spans one or more dropped collector
     #: passes: its counts are real (the counters kept accumulating) but
@@ -85,12 +91,18 @@ class IntervalCounts:
     def seconds(self) -> float:
         return self.end - self.start
 
+    @property
+    def totals(self) -> dict[str, int]:
+        """The nonzero summed deltas by flat label, built on each access."""
+        return {name: v for name, v in zip(FLAT_NAMES, self.row.tolist()) if v}
+
 
 def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
     """Counter deltas between two samples, summed over the nodes present
     in both (a node missing from either is skipped, as the real scripts
-    had to do).  Shared by the batch :meth:`SystemCollector.intervals`
-    path and the streaming telemetry service's incremental path."""
+    had to do).  :meth:`SampleSeries.append` computes each interval with
+    it once; telemetry replay recomputes intervals with it from the
+    recorded samples."""
     if before.node_ids == after.node_ids:
         diff = after.matrix - before.matrix
         n_common = len(before.node_ids)
@@ -102,11 +114,28 @@ def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
         n_common = len(common)
     if np.any(diff < 0):
         raise AssertionError("software counters went backwards")
-    sums = diff.sum(axis=0)
-    totals = {name: int(v) for name, v in zip(FLAT_NAMES, sums) if v}
-    return IntervalCounts(
-        start=before.time, end=after.time, totals=totals, n_nodes=n_common
-    )
+    row = diff.sum(axis=0)
+    row.flags.writeable = False
+    return IntervalCounts(start=before.time, end=after.time, row=row, n_nodes=n_common)
+
+
+@dataclass(frozen=True, eq=False)
+class IntervalTable:
+    """A series' intervals as columns: entry *i* of every array is
+    interval *i* (all arrays read-only)."""
+
+    start: np.ndarray
+    end: np.ndarray
+    #: ``(n_intervals, 44)`` int64 summed deltas.
+    rows: np.ndarray
+    n_nodes: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @property
+    def seconds(self) -> np.ndarray:
+        return self.end - self.start
 
 
 class SampleSeries:
@@ -116,6 +145,8 @@ class SampleSeries:
     simulation clock) and of the parallel runner's merged series (which
     *concatenates* rebased shard samples) — both expose the same
     ``samples`` / ``intervals()`` surface the analysis layer consumes.
+    Each sample is differenced against its predecessor once, when it is
+    appended, and the interval is kept as one 44-wide row.
     """
 
     def __init__(
@@ -124,29 +155,76 @@ class SampleSeries:
         *,
         cadence: float | None = None,
     ) -> None:
-        self.samples: list[SystemSample] = samples if samples is not None else []
-        self._intervals_cache: list[IntervalCounts] | None = None
+        self.samples: list[SystemSample] = []
         #: Nominal sample spacing; intervals spanning well over one
         #: cadence period (dropped passes) are flagged interpolated.
         #: ``None`` disables flagging.
         self.cadence = cadence
+        # Interval rows live in a buffer grown by doubling; the
+        # per-interval scalars in lists.
+        self._rows = np.zeros((0, ROW_SIZE), dtype=np.int64)
+        self._starts: list[float] = []
+        self._ends: list[float] = []
+        self._n_nodes: list[int] = []
+        self._interpolated: list[bool] = []
+        self._table: IntervalTable | None = None
+        for sample in samples or ():
+            self.append(sample)
+
+    def append(self, sample: SystemSample) -> IntervalCounts | None:
+        """Store a sample and the interval it closes (``None`` for the
+        first sample).  With a known cadence, an interval spanning a
+        collector gap carries ``interpolated=True``."""
+        prev = self.samples[-1] if self.samples else None
+        self.samples.append(sample)
+        if prev is None:
+            return None
+        iv = sample_delta(prev, sample)
+        if self.cadence is not None and iv.seconds > self.cadence * 1.5:
+            iv = dataclasses.replace(iv, interpolated=True)
+        n = len(self._starts)
+        if n == len(self._rows):
+            grown = np.zeros((max(64, 2 * n), ROW_SIZE), dtype=np.int64)
+            grown[:n] = self._rows[:n]
+            self._rows = grown
+        self._rows[n] = iv.row
+        self._starts.append(iv.start)
+        self._ends.append(iv.end)
+        self._n_nodes.append(iv.n_nodes)
+        self._interpolated.append(iv.interpolated)
+        self._table = None
+        return iv
+
+    def interval_table(self) -> IntervalTable:
+        """Every interval so far as columns (cached until the next
+        :meth:`append`)."""
+        if self._table is None:
+            n = len(self._starts)
+            columns = [
+                np.array(self._starts, dtype=np.float64),
+                np.array(self._ends, dtype=np.float64),
+                self._rows[:n].view(),
+                np.array(self._n_nodes, dtype=np.int64),
+            ]
+            for col in columns:
+                col.flags.writeable = False
+            self._table = IntervalTable(*columns)
+        return self._table
 
     def intervals(self) -> list[IntervalCounts]:
         """Counter deltas between consecutive samples, summed over the
         nodes present in both (a node missing from either is skipped for
-        that interval, as the real scripts had to do).  With a known
-        cadence, intervals spanning a collector gap carry
-        ``interpolated=True``."""
-        if self._intervals_cache is not None:
-            return self._intervals_cache
-        out: list[IntervalCounts] = []
-        for before, after in zip(self.samples, self.samples[1:]):
-            iv = sample_delta(before, after)
-            if self.cadence is not None and iv.seconds > self.cadence * 1.5:
-                iv = dataclasses.replace(iv, interpolated=True)
-            out.append(iv)
-        self._intervals_cache = out
-        return out
+        that interval, as the real scripts had to do)."""
+        return [
+            IntervalCounts(start, end, row, n_nodes, interpolated)
+            for start, end, row, n_nodes, interpolated in zip(
+                self._starts,
+                self._ends,
+                self.interval_table().rows,
+                self._n_nodes,
+                self._interpolated,
+            )
+        ]
 
     def gap_intervals(self) -> list[IntervalCounts]:
         """The intervals that span dropped collector passes."""
@@ -154,11 +232,10 @@ class SampleSeries:
 
     def interval_matrix(self, counter: str) -> tuple[np.ndarray, np.ndarray]:
         """(interval end times, per-interval summed counts) for one
-        counter — the fast path for time-series analysis."""
-        ivs = self.intervals()
-        times = np.array([iv.end for iv in ivs])
-        counts = np.array([iv.totals.get(counter, 0) for iv in ivs], dtype=float)
-        return times, counts
+        counter — the fast path for time-series analysis.  An unknown
+        counter name raises :class:`KeyError`."""
+        t = self.interval_table()
+        return t.end.copy(), t.rows[:, flat_index(counter)].astype(float)
 
 
 class SystemCollector(SampleSeries):
@@ -194,6 +271,7 @@ class SystemCollector(SampleSeries):
         # masked sweep over the store instead of a per-daemon loop.
         self._store = None
         self._slots: list[int] = []
+        self._ids = tuple(d.node_id for d in daemons)
         nodes = [d.interface.node for d in daemons]
         store = getattr(nodes[0], "_store", None)
         if store is not None and all(
@@ -247,9 +325,8 @@ class SystemCollector(SampleSeries):
         sample = SystemSample(
             time=now, node_ids=tuple(ids), matrix=matrix, missing=tuple(missing)
         )
-        self.samples.append(sample)
-        self._intervals_cache = None
-        self._publish(sample)
+        interval = self.append(sample)
+        self._publish(sample, interval)
         return sample
 
     def _collect_scalar(self, now: float):
@@ -276,25 +353,27 @@ class SystemCollector(SampleSeries):
         scalar path never syncs a node whose daemon is down, and a down
         node's clock advancing in two pieces instead of one would change
         its accumulators bitwise.  Gap flagging (``missing``) follows the
-        same daemon order as the scalar loop.
+        same daemon order as the scalar loop.  When every daemon answers
+        (the common pass) the precomputed ids and slots are used as is.
         """
-        ids: list[int] = []
-        missing: list[int] = []
-        slots: list[int] = []
-        for daemon, slot in zip(self.daemons, self._slots):
-            if daemon.available:
-                ids.append(daemon.node_id)
-                slots.append(slot)
-            else:
-                missing.append(daemon.node_id)
+        if all(map(_AVAILABLE, self.daemons)):
+            ids, missing, slots = self._ids, (), self._slots
+        else:
+            ids, missing, slots = [], [], []
+            for daemon, node_id, slot in zip(self.daemons, self._ids, self._slots):
+                if daemon.available:
+                    ids.append(node_id)
+                    slots.append(slot)
+                else:
+                    missing.append(node_id)
         self._store.sync_slots(slots, now)
         matrix = self._store.snapshot_matrix(slots)
         return ids, missing, matrix
 
-    def _publish(self, sample: SystemSample) -> None:
-        """Feed the streaming side: the sample itself, plus node
-        reachability transitions (down on first missed pass, up on the
-        first answered one)."""
+    def _publish(self, sample: SystemSample, interval: IntervalCounts | None) -> None:
+        """Feed the streaming side: the sample and the interval it
+        closed, plus node reachability transitions (down on first missed
+        pass, up on the first answered one)."""
         if self.bus is None:
             return
         from repro.telemetry.bus import (
@@ -315,4 +394,6 @@ class SystemCollector(SampleSeries):
                 TOPIC_NODE_UP, NodeStateChanged(time=sample.time, node_id=node_id, up=True)
             )
         self._down = now_down
-        self.bus.publish(TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample))
+        self.bus.publish(
+            TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
+        )

@@ -1,6 +1,7 @@
 """Derived-metric algebra — how every number in Tables 2–4 is computed.
 
-Input is a flat counter-delta mapping (``user.fxu0`` …) plus the wall
+Input is a counter-delta row (int64, :data:`~repro.power2.counters.FLAT_NAMES`
+order) or a flat-labelled mapping (``user.fxu0`` …), plus the wall
 seconds it covers and the number of nodes it sums over.  All rates are
 *per node*, in millions per second, matching the paper's convention
 ("These rates represent single node values and system rates may be
@@ -22,13 +23,24 @@ The flop algebra follows §3/§5 exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from repro.power2.config import MachineConfig, POWER2_590
+from repro.power2.counters import FLAT_INDEX, FLAT_NAMES
 
 
-def _g(deltas: Mapping[str, float], key: str) -> float:
-    return float(deltas.get(key, 0))
+def _flop_terms(g: Callable[[str], float]):
+    """(adds, multiplies, divides, fmas) summed over both FPUs, with
+    ``g`` reading one counter as float — shared by the scalar and the
+    per-interval paths so both run the same float operations."""
+    return (
+        g("user.fpu0_fp_add") + g("user.fpu1_fp_add"),
+        g("user.fpu0_fp_mul") + g("user.fpu1_fp_mul"),
+        g("user.fpu0_fp_div") + g("user.fpu1_fp_div"),
+        g("user.fpu0_fp_muladd") + g("user.fpu1_fp_muladd"),
+    )
 
 
 @dataclass(frozen=True)
@@ -157,28 +169,34 @@ class DerivedRates:
 
 
 def workload_rates(
-    deltas: Mapping[str, float], seconds: float, n_nodes: int
+    deltas: "np.ndarray | Mapping[str, float]", seconds: float, n_nodes: int
 ) -> DerivedRates:
     """Derive per-node rates from counter deltas summed over ``n_nodes``.
 
-    ``seconds`` is the wall-clock span of the deltas.  Rates are reported
-    per node: each summed count is divided by ``seconds × n_nodes``.
+    ``deltas`` is a 44-wide counter row or a flat-labelled mapping
+    (absent labels count zero).  ``seconds`` is the wall-clock span of
+    the deltas.  Rates are reported per node: each summed count is
+    divided by ``seconds × n_nodes``.
     """
     if seconds <= 0:
         raise ValueError("interval must have positive duration")
     if n_nodes <= 0:
         raise ValueError("need at least one node")
     per = 1.0 / (seconds * n_nodes * 1e6)  # counts → per-node M/s
+    if isinstance(deltas, Mapping):
+        values = [float(deltas.get(name, 0)) for name in FLAT_NAMES]
+    else:
+        values = [float(v) for v in deltas.tolist()]
 
-    fp_add = _g(deltas, "user.fpu0_fp_add") + _g(deltas, "user.fpu1_fp_add")
-    fp_mul = _g(deltas, "user.fpu0_fp_mul") + _g(deltas, "user.fpu1_fp_mul")
-    fp_div = _g(deltas, "user.fpu0_fp_div") + _g(deltas, "user.fpu1_fp_div")
-    fp_fma = _g(deltas, "user.fpu0_fp_muladd") + _g(deltas, "user.fpu1_fp_muladd")
+    def _g(key: str) -> float:
+        return values[FLAT_INDEX[key]]
 
-    user_fxu = _g(deltas, "user.fxu0") + _g(deltas, "user.fxu1")
-    system_fxu = _g(deltas, "system.fxu0") + _g(deltas, "system.fxu1")
-    user_cycles = _g(deltas, "user.cycles")
-    system_cycles = _g(deltas, "system.cycles")
+    fp_add, fp_mul, fp_div, fp_fma = _flop_terms(_g)
+
+    user_fxu = _g("user.fxu0") + _g("user.fxu1")
+    system_fxu = _g("system.fxu0") + _g("system.fxu1")
+    user_cycles = _g("user.cycles")
+    system_cycles = _g("system.cycles")
     total_cycles = user_cycles + system_cycles
 
     return DerivedRates(
@@ -191,18 +209,33 @@ def workload_rates(
         mflops_div=fp_div * per,
         mflops_mul=fp_mul * per,
         mflops_fma=fp_fma * per,
-        mips_fp_total=(_g(deltas, "user.fpu0") + _g(deltas, "user.fpu1")) * per,
-        mips_fp_unit0=_g(deltas, "user.fpu0") * per,
-        mips_fp_unit1=_g(deltas, "user.fpu1") * per,
+        mips_fp_total=(_g("user.fpu0") + _g("user.fpu1")) * per,
+        mips_fp_unit0=_g("user.fpu0") * per,
+        mips_fp_unit1=_g("user.fpu1") * per,
         mips_fxu_total=user_fxu * per,
-        mips_fxu_unit0=_g(deltas, "user.fxu0") * per,
-        mips_fxu_unit1=_g(deltas, "user.fxu1") * per,
-        mips_icu=(_g(deltas, "user.icu0") + _g(deltas, "user.icu1")) * per,
-        dcache_miss_rate=_g(deltas, "user.dcache_mis") * per,
-        tlb_miss_rate=_g(deltas, "user.tlb_mis") * per,
-        icache_miss_rate=_g(deltas, "user.icache_reload") * per,
-        dma_read_rate=_g(deltas, "user.dma_read") * per,
-        dma_write_rate=_g(deltas, "user.dma_write") * per,
+        mips_fxu_unit0=_g("user.fxu0") * per,
+        mips_fxu_unit1=_g("user.fxu1") * per,
+        mips_icu=(_g("user.icu0") + _g("user.icu1")) * per,
+        dcache_miss_rate=_g("user.dcache_mis") * per,
+        tlb_miss_rate=_g("user.tlb_mis") * per,
+        icache_miss_rate=_g("user.icache_reload") * per,
+        dma_read_rate=_g("user.dma_read") * per,
+        dma_write_rate=_g("user.dma_write") * per,
         system_user_fxu_ratio=(system_fxu / user_fxu) if user_fxu > 0 else 0.0,
         user_cycle_fraction=(user_cycles / total_cycles) if total_cycles > 0 else 0.0,
     )
+
+
+def system_gflops(rows: np.ndarray, seconds: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Whole-machine Gflops of many counter rows at once:
+    ``workload_rates(row, s, n_nodes).gflops_system()`` for each row,
+    with the same float operations, so the results are bit-identical."""
+    if np.any(seconds <= 0):
+        raise ValueError("interval must have positive duration")
+    if n_nodes <= 0:
+        raise ValueError("need at least one node")
+    per = 1.0 / (seconds * n_nodes * 1e6)
+    fp_add, fp_mul, fp_div, fp_fma = _flop_terms(
+        lambda key: rows[:, FLAT_INDEX[key]].astype(np.float64)
+    )
+    return (fp_add + fp_mul + fp_div + 2.0 * fp_fma) * per * n_nodes / 1e3

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pbs.job import JobRecord
+from repro.pbs.job import JobRecord, row_flops, row_system_user_fxu_ratio
+from repro.power2.counters import flat_index
 
 
 @dataclass(frozen=True)
@@ -53,36 +54,24 @@ class NodeDiagnosis:
         return self.system_user_fxu_ratio > 1.0
 
 
-def _flops(deltas: dict[str, int]) -> float:
-    return JobRecord.flops_from_deltas(deltas)
-
-
-def _sys_user_ratio(deltas: dict[str, int]) -> float:
-    user = deltas.get("user.fxu0", 0) + deltas.get("user.fxu1", 0)
-    system = deltas.get("system.fxu0", 0) + deltas.get("system.fxu1", 0)
-    if user == 0:
-        return float("inf") if system else 0.0
-    return system / user
-
-
 class ParallelJobReport:
     """The PHPM view of one finished job."""
 
     def __init__(self, record: JobRecord) -> None:
-        if not record.counter_deltas:
+        if not record.node_ids:
             raise ValueError(f"job {record.job_id} has no per-node counter data")
         self.record = record
-        self._node_ids = sorted(record.counter_deltas)
+        order = np.argsort(record.node_ids, kind="stable")
+        self._node_ids = [record.node_ids[i] for i in order]
+        #: The record's delta rows in ascending node-id order.
+        self._rows = record.deltas[order]
 
     # ------------------------------------------------------------------
     # Reductions
     # ------------------------------------------------------------------
     def reduce(self, counter: str) -> CounterReduction:
         """Reduce one flat-labelled counter across the job's nodes."""
-        values = np.array(
-            [self.record.counter_deltas[n].get(counter, 0) for n in self._node_ids],
-            dtype=float,
-        )
+        values = self._rows[:, flat_index(counter)].astype(float)
         return CounterReduction(
             counter=counter,
             total=float(values.sum()),
@@ -98,9 +87,7 @@ class ParallelJobReport:
     # Balance
     # ------------------------------------------------------------------
     def node_flops(self) -> np.ndarray:
-        return np.array(
-            [_flops(self.record.counter_deltas[n]) for n in self._node_ids]
-        )
+        return np.array([row_flops(row) for row in self._rows.tolist()])
 
     def flop_imbalance(self) -> float:
         """max/mean flop ratio across nodes; 1.0 is perfect balance."""
@@ -117,9 +104,9 @@ class ParallelJobReport:
                 node_id=nid,
                 flops=float(f),
                 flop_share=float(f / total) if total > 0 else 0.0,
-                system_user_fxu_ratio=_sys_user_ratio(self.record.counter_deltas[nid]),
+                system_user_fxu_ratio=row_system_user_fxu_ratio(row),
             )
-            for nid, f in zip(self._node_ids, flops)
+            for nid, f, row in zip(self._node_ids, flops, self._rows.tolist())
         ]
         out.sort(key=lambda d: d.flops)
         return out

@@ -64,7 +64,7 @@ def render_performance_report(
     wall = rec.walltime_seconds
     rates: DerivedRates | None = None
     if wall > 0 and rec.node_ids:
-        rates = workload_rates(rec.summed_deltas(), wall, n_nodes)
+        rates = workload_rates(rec.summed_row, wall, n_nodes)
 
     where = f"{campaign} (member {member})" if member else campaign
     lines = [

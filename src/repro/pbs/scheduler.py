@@ -30,7 +30,7 @@ from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import ExecutionProfile, JobRecord, JobSpec, JobState
 from repro.pbs.queue import JobQueue
 from repro.power2.config import MachineConfig
-from repro.power2.counters import rates_vector, snapshot_delta
+from repro.power2.counters import FLAT_NAMES, ROW_SIZE, rates_vector
 from repro.power2.node import (
     DMA_TRANSFER_BYTES,
     PAGING_CPU_BUSY_FRACTION,
@@ -119,8 +119,9 @@ class RunningJob:
     alloc_id: int
     node_ids: tuple[int, ...]
     start_time: float
-    #: Per-node prologue counter snapshots (§3).
-    prologue: dict[int, dict[str, int]]
+    #: Prologue counter snapshots (§3): one int64 row per node, in
+    #: ``node_ids`` order.
+    prologue: np.ndarray
     #: The scheduled epilogue event — cancelled if the job is killed.
     end_event: "object | None" = None
     #: Effective per-node memory demand (profile demand × any storm
@@ -264,11 +265,11 @@ class PBSServer:
                 walltime *= slow
 
         # Prologue: snapshot counters on each allocated node (§3).
-        prologue: dict[int, dict[str, int]] = {}
-        for nid in node_ids:
+        prologue = np.empty((len(node_ids), ROW_SIZE), dtype=np.int64)
+        for i, nid in enumerate(node_ids):
             node = self.machine.node(nid)
             node.sync(now)
-            prologue[nid] = node.snapshot()
+            node.monitor.snapshot_vector(out=prologue[i])
             node.assign_memory(demand)
             node.install_rates(now, user, system, busy=True, flops_per_s=flops_per_s)
 
@@ -321,13 +322,20 @@ class PBSServer:
         job.state = JobState.EXITED
 
         # Epilogue: sync, snapshot, diff against the prologue (§3).
-        deltas: dict[int, dict[str, int]] = {}
-        for nid in node_ids:
+        epilogue = np.empty_like(prologue)
+        for i, nid in enumerate(node_ids):
             node = self.machine.node(nid)
             node.sync(now)
-            deltas[nid] = snapshot_delta(prologue[nid], node.snapshot())
+            node.monitor.snapshot_vector(out=epilogue[i])
             node.release_memory(rj.memory_per_node)
             node.install_rates(now)  # back to idle background
+        deltas = epilogue - prologue
+        if (deltas < 0).any():
+            i, col = np.argwhere(deltas < 0)[0]
+            raise ValueError(
+                f"software counter {FLAT_NAMES[col]} on node {node_ids[i]} went "
+                f"backwards ({prologue[i, col]} -> {epilogue[i, col]})"
+            )
 
         self.machine.release(alloc_id)
         record = JobRecord(
@@ -339,7 +347,7 @@ class PBSServer:
             submit_time=job.submit_time,
             start_time=start_time,
             end_time=now,
-            counter_deltas=deltas,
+            deltas=deltas,
         )
         self.accounting.append(record)
         if job_id in self._job_spans:

@@ -46,13 +46,11 @@ from repro.power2.counters import (
     COUNTER_NAMES,
     COUNTER_MODULUS,
     FLAT_NAMES,
+    ROW_SIZE,
     Mode,
     counter_index,
     execution_event_counts,
 )
-
-#: Width of one node's flat counter row (user bank then system bank).
-ROW_SIZE = 2 * BANK_SIZE
 
 #: Flat row positions the hardware bug zeroes (both banks).
 _BROKEN_FLAT = list(BROKEN_INDICES) + [i + BANK_SIZE for i in BROKEN_INDICES]

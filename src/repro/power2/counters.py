@@ -86,10 +86,15 @@ _BROKEN_INDICES = list(BROKEN_INDICES)
 FLAT_NAMES: tuple[str, ...] = tuple(
     f"{mode}.{name}" for mode in ("user", "system") for name in COUNTER_NAMES
 )
+#: Flat label → column of a counter row: the one name→column map every
+#: row consumer (job records, interval rows, reports) goes through.
+FLAT_INDEX: dict[str, int] = {name: i for i, name in enumerate(FLAT_NAMES)}
 
 
 #: Number of counters in a bank (22 for the NAS selection).
 BANK_SIZE = len(COUNTER_LAYOUT)
+#: Width of one node's flat counter row (user bank then system bank).
+ROW_SIZE = 2 * BANK_SIZE
 
 
 def counter_index(name: str) -> int:
@@ -98,6 +103,23 @@ def counter_index(name: str) -> int:
         return _INDEX[name]
     except KeyError:
         raise KeyError(f"unknown counter {name!r}; see COUNTER_NAMES") from None
+
+
+def flat_index(name: str) -> int:
+    """Column of a flat label (``user.fxu0`` …) in a counter row."""
+    try:
+        return FLAT_INDEX[name]
+    except KeyError:
+        raise KeyError(f"unknown counter {name!r}; see FLAT_NAMES") from None
+
+
+def flat_row(counts: Mapping[str, int]) -> np.ndarray:
+    """Pack flat-labelled counts into an int64 counter row (absent
+    counters are zero; an unknown label raises)."""
+    row = np.zeros(ROW_SIZE, dtype=np.int64)
+    for name, value in counts.items():
+        row[flat_index(name)] = value
+    return row
 
 
 def rates_vector(amounts: Mapping[str, float]) -> np.ndarray:

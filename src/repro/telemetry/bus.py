@@ -66,10 +66,16 @@ TOPICS = (
 
 @dataclass(frozen=True)
 class SampleTaken:
-    """One collector pass; ``sample`` is the stored ``SystemSample``."""
+    """One collector pass; ``sample`` is the stored ``SystemSample``.
+
+    ``interval`` is the ``IntervalCounts`` the collector computed when it
+    stored the sample (``None`` for the first sample and on replay,
+    where consumers difference the samples themselves).
+    """
 
     time: float
     sample: Any  # repro.hpm.collector.SystemSample (kept untyped: no cycle)
+    interval: Any = None  # repro.hpm.collector.IntervalCounts | None
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ maintains, *while the simulation runs*:
 * the per-job rollup table (:mod:`repro.telemetry.rollup`) — finalized
   at epilogue time.
 
-The per-sample path is incremental: the service differences each new
-:class:`~repro.hpm.collector.SystemSample` against the previous one
-(same common-node algebra the batch ``intervals()`` uses) and derives
-the interval's rates once, so the online layer costs O(nodes) per
-sample regardless of campaign length.
+The per-sample path is incremental: live, the service takes the
+interval the collector computed when it stored the sample; on replay it
+differences each :class:`~repro.hpm.collector.SystemSample` against the
+previous one with the same :func:`~repro.hpm.collector.sample_delta`.
+Either way it derives the interval's rates once, so the online layer
+costs O(nodes) per sample regardless of campaign length.
 
 ``replay`` rebuilds a service from recorded samples and job records —
 the offline path ``sp2-ops`` uses on an already-run dataset, and the
@@ -122,10 +123,10 @@ class TelemetryService:
         prev, self._prev_sample = self._prev_sample, sample
         if prev is None:
             return
-        iv = sample_delta(prev, sample)
+        iv = ev.interval if ev.interval is not None else sample_delta(prev, sample)
         if iv.seconds <= 0 or iv.n_nodes <= 0:
             return
-        rates = workload_rates(iv.totals, iv.seconds, iv.n_nodes)
+        rates = workload_rates(iv.row, iv.seconds, iv.n_nodes)
         self._record_interval(sample.time, rates, iv.n_nodes, sample.missing)
 
     def _on_job_end(self, ev: JobEnded) -> None:

@@ -94,6 +94,8 @@ class TestCollector:
         times, counts = col.interval_matrix("user.fpu0_fp_add")
         np.testing.assert_allclose(times, [50.0, 100.0])
         np.testing.assert_allclose(counts, [1e8, 1e8], rtol=1e-6)
+        with pytest.raises(KeyError, match="user.bogus"):
+            col.interval_matrix("user.bogus")
 
     def test_snapshot_for_compatibility_view(self):
         daemons = [NodeDaemon.for_node(n) for n in make_nodes(n=2)]

@@ -1,9 +1,11 @@
 """Per-job report files: render + parse round-trip."""
 
+import numpy as np
 import pytest
 
 from repro.hpm.jobreport import parse_job_report, render_job_report, summarize_deltas
 from repro.pbs.job import JobRecord
+from repro.power2.counters import flat_row
 
 
 def record() -> JobRecord:
@@ -16,10 +18,12 @@ def record() -> JobRecord:
         submit_time=10.0,
         start_time=100.0,
         end_time=1100.0,
-        counter_deltas={
-            3: {"user.fpu0_fp_add": 1000, "user.fxu0": 2000, "system.fxu0": 10},
-            5: {"user.fpu0_fp_add": 1500, "user.fxu0": 2500, "system.fxu0": 20},
-        },
+        deltas=np.array(
+            [
+                flat_row({"user.fpu0_fp_add": 1000, "user.fxu0": 2000, "system.fxu0": 10}),
+                flat_row({"user.fpu0_fp_add": 1500, "user.fxu0": 2500, "system.fxu0": 20}),
+            ]
+        ),
     )
 
 
@@ -66,6 +70,29 @@ class TestParseErrors:
     def test_rejects_malformed_counter_line(self):
         text = render_job_report(record()) + "user.bad_line\n"
         with pytest.raises(ValueError, match="malformed counter"):
+            parse_job_report(text)
+
+    @pytest.mark.parametrize(
+        "node_ids, body, match",
+        [
+            # A section for a node the header does not list.
+            ("3", "[node 3]\nuser.fxu0 = 1\n[node 7]\nuser.fxu0 = 1", r"nodes \[7\] not in"),
+            # A listed node with no section.
+            ("3,5", "[node 3]\nuser.fxu0 = 1", r"no counter section for nodes \[5\]"),
+            # The same node twice: the second section must not win.
+            ("7", "[node 7]\nuser.fxu0 = 1\n[node 7]\nuser.fxu0 = 4", "duplicate section"),
+            ("7", "[node 7]\nuser.bogus = 5", "unknown counter 'user.bogus'"),
+            ("7", "[node 7]\nuser.fxu0 = -3", "negative count user.fxu0"),
+        ],
+        ids=["stray-section", "missing-section", "duplicate", "unknown", "negative"],
+    )
+    def test_rejects_inconsistent_report(self, node_ids, body, match):
+        text = (
+            "# RS2HPM job report v1\njob_id: 1\nuser: 0\napp: a\nnodes_requested: 1\n"
+            f"node_ids: {node_ids}\nsubmit_time: 0.000\nstart_time: 0.000\n"
+            f"end_time: 10.000\n{body}\n"
+        )
+        with pytest.raises(ValueError, match=match):
             parse_job_report(text)
 
 

@@ -1,24 +1,28 @@
 """PHPM parallel job reports."""
 
+import numpy as np
 import pytest
 
 from repro.hpm.phpm import ParallelJobReport
 from repro.pbs.job import JobRecord
+from repro.power2.counters import ROW_SIZE, flat_row
 
 
 def record(per_node_flops, sys_ratios=None, wall=1000.0):
     """Synthetic job record with specified per-node flop counts."""
     n = len(per_node_flops)
     sys_ratios = sys_ratios or [0.02] * n
-    deltas = {}
+    deltas = np.zeros((n, ROW_SIZE), dtype=np.int64)
     for nid, (flops, ratio) in enumerate(zip(per_node_flops, sys_ratios)):
         user_fxu = 2.0 * flops
-        deltas[nid] = {
-            "user.fpu0_fp_add": int(flops),
-            "user.fxu0": int(user_fxu / 2),
-            "user.fxu1": int(user_fxu / 2),
-            "system.fxu0": int(ratio * user_fxu),
-        }
+        deltas[nid] = flat_row(
+            {
+                "user.fpu0_fp_add": int(flops),
+                "user.fxu0": int(user_fxu / 2),
+                "user.fxu1": int(user_fxu / 2),
+                "system.fxu0": int(ratio * user_fxu),
+            }
+        )
     return JobRecord(
         job_id=9,
         user=1,
@@ -28,7 +32,7 @@ def record(per_node_flops, sys_ratios=None, wall=1000.0):
         submit_time=0.0,
         start_time=0.0,
         end_time=wall,
-        counter_deltas=deltas,
+        deltas=deltas,
     )
 
 
@@ -48,14 +52,18 @@ class TestReductions:
         assert red.total == 0.0
         assert red.imbalance == 1.0
 
+    def test_unknown_counter_rejected(self):
+        rep = ParallelJobReport(record([1e9]))
+        with pytest.raises(KeyError, match="user.bogus"):
+            rep.reduce("user.bogus")
+
     def test_reductions_batch(self):
         rep = ParallelJobReport(record([1e9, 1e9]))
         out = rep.reductions(["user.fxu0", "user.fxu1"])
         assert set(out) == {"user.fxu0", "user.fxu1"}
 
     def test_empty_record_rejected(self):
-        rec = record([1e9])
-        rec.counter_deltas = {}
+        rec = record([])
         with pytest.raises(ValueError):
             ParallelJobReport(rec)
 

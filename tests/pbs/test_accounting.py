@@ -5,10 +5,14 @@ import pytest
 
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
+from repro.power2.counters import flat_row
 
 
-def record(job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01):
-    """A synthetic record whose counters yield the requested rate."""
+def record(
+    job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01, edit=None
+):
+    """A synthetic record whose counters yield the requested rate;
+    ``edit`` may rewrite each node's counts before the record is built."""
     flops_per_node = mflops_per_node * 1e6 * wall
     user_fxu = 2e7 * wall
     deltas = {
@@ -20,6 +24,9 @@ def record(job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01):
         }
         for nid in range(nodes)
     }
+    if edit is not None:
+        for d in deltas.values():
+            edit(d)
     start = 0.0 if end is None else end - wall
     return JobRecord(
         job_id=job_id,
@@ -30,7 +37,7 @@ def record(job_id, nodes, wall, mflops_per_node=20.0, end=None, sys_ratio=0.01):
         submit_time=0.0,
         start_time=start,
         end_time=start + wall,
-        counter_deltas=deltas,
+        deltas=np.array([flat_row(d) for d in deltas.values()]),
     )
 
 
@@ -105,10 +112,12 @@ class TestAggregates:
     def test_paging_scatter_drops_infinite_ratios(self):
         log = AccountingLog()
         log.append(record(1, 4, 1000.0))
-        weird = record(2, 4, 1000.0)
-        for d in weird.counter_deltas.values():
+
+        def no_user_fxu(d):
             d["user.fxu0"] = 0
             d["user.fxu1"] = 0
+
+        weird = record(2, 4, 1000.0, edit=no_user_fxu)
         log.append(weird)
         x, y = log.paging_scatter()
         assert np.isfinite(x).all()
@@ -134,8 +143,10 @@ class TestRegisterReuseAggregates:
         # Ten slow jobs with no fma, one fast job that is all fma.
         for i in range(10):
             log.append(record(i, 4, 1000.0, mflops_per_node=5.0))
-        fast = record(99, 4, 1000.0, mflops_per_node=50.0)
-        for d in fast.counter_deltas.values():
+
+        def all_fma(d):
             d["user.fpu0_fp_muladd"] = d.pop("user.fpu0_fp_add") // 2
+
+        fast = record(99, 4, 1000.0, mflops_per_node=50.0, edit=all_fma)
         log.append(fast)
         assert log.top_decile_fma_fraction() == pytest.approx(1.0)

@@ -101,6 +101,23 @@ class TestCounterCapture:
         assert first.counter_deltas[0]["user.fpu0"] == pytest.approx(1e8, rel=1e-6)
         assert second.counter_deltas[0]["user.fpu0"] == pytest.approx(3e8, rel=1e-6)
 
+    def test_epilogue_rejects_counters_that_went_backwards(self):
+        """A counter that decreased between prologue and epilogue is a
+        broken snapshot pair; the epilogue names the counter and node."""
+        s = server(n_nodes=2)
+        s.sim.schedule_at(500.0, lambda sim: s.submit(0, "app", 2, Profile(walltime=1000.0)))
+
+        def reset_counters(sim):
+            for node in s.machine.nodes:
+                node.sync(sim.now)
+                node.monitor.reset()
+
+        s.sim.schedule_at(1499.0, reset_counters)
+        with pytest.raises(
+            ValueError, match=r"software counter system\.\w+ on node \d went backwards"
+        ):
+            s.sim.run()
+
     def test_memory_released_after_job(self):
         s = server()
         s.submit(0, "app", 2, Profile(walltime=10.0, memory=100e6))
