@@ -19,7 +19,7 @@ from repro.cluster.machine import SP2Machine
 from repro.faults.events import FaultLog
 from repro.faults.profile import FaultProfile
 from repro.power2.config import MachineConfig, SwitchConfig
-from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SystemCollector
+from repro.hpm.collector import SAMPLE_INTERVAL_SECONDS, SampleSeries, SystemCollector
 from repro.hpm.daemon import NodeDaemon
 from repro.hpm.derived import DerivedRates, system_gflops, workload_rates
 from repro.pbs.accounting import AccountingLog
@@ -105,7 +105,7 @@ class StudyDataset:
 
     config: StudyConfig
     trace: CampaignTrace
-    collector: SystemCollector
+    collector: SampleSeries
     accounting: AccountingLog
     #: (probe time, busy node count) pairs.
     utilization_probes: list[tuple[float, int]] = field(default_factory=list)

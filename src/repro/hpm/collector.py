@@ -46,24 +46,12 @@ class SystemSample:
     node_ids: tuple[int, ...]
     #: Shape (len(node_ids), 44): user bank then system bank per row.
     matrix: np.ndarray
-    #: Node ids that did not answer this pass.
+    #: Node ids that did not answer this pass (telemetry's node-gap
+    #: rule alerts on them).
     missing: tuple[int, ...] = ()
 
     def nodes(self) -> list[int]:
         return sorted(self.node_ids)
-
-    @property
-    def unreachable(self) -> tuple[int, ...]:
-        """Node ids whose daemon did not answer this pass (sorted).
-
-        Telemetry's node-gap rule reads this to alert on daemon outages
-        rather than merely tolerating them.
-        """
-        return tuple(sorted(self.missing))
-
-    @property
-    def n_unreachable(self) -> int:
-        return len(self.missing)
 
     def snapshot_for(self, node_id: int) -> dict[str, int]:
         """One node's flat-labelled snapshot (compatibility view)."""
@@ -97,26 +85,28 @@ class IntervalCounts:
         return {name: v for name, v in zip(FLAT_NAMES, self.row.tolist()) if v}
 
 
-def sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
+def _sample_delta(before: SystemSample, after: SystemSample) -> IntervalCounts:
     """Counter deltas between two samples, summed over the nodes present
     in both (a node missing from either is skipped, as the real scripts
-    had to do).  :meth:`SampleSeries.append` computes each interval with
-    it once; telemetry replay recomputes intervals with it from the
-    recorded samples."""
+    had to do).  A counter that decreased raises :class:`ValueError`
+    naming the node, the counter and both sample times."""
     if before.node_ids == after.node_ids:
+        common = before.node_ids
         diff = after.matrix - before.matrix
-        n_common = len(before.node_ids)
     else:
         common = sorted(set(before.node_ids) & set(after.node_ids))
         bi = [before.node_ids.index(n) for n in common]
         ai = [after.node_ids.index(n) for n in common]
         diff = after.matrix[ai] - before.matrix[bi]
-        n_common = len(common)
-    if np.any(diff < 0):
-        raise AssertionError("software counters went backwards")
+    if (diff < 0).any():
+        i, col = np.argwhere(diff < 0)[0]
+        raise ValueError(
+            f"software counter {FLAT_NAMES[col]} on node {common[i]} went "
+            f"backwards between samples at t={before.time:g} and t={after.time:g}"
+        )
     row = diff.sum(axis=0)
     row.flags.writeable = False
-    return IntervalCounts(start=before.time, end=after.time, row=row, n_nodes=n_common)
+    return IntervalCounts(start=before.time, end=after.time, row=row, n_nodes=len(common))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,11 +132,11 @@ class SampleSeries:
     """Interval algebra over an ordered run of :class:`SystemSample`.
 
     Base of :class:`SystemCollector` (which *produces* samples on the
-    simulation clock) and of the parallel runner's merged series (which
-    *concatenates* rebased shard samples) — both expose the same
-    ``samples`` / ``intervals()`` surface the analysis layer consumes.
-    Each sample is differenced against its predecessor once, when it is
-    appended, and the interval is kept as one 44-wide row.
+    simulation clock); the parallel merge builds a plain series from the
+    rebased shard samples.  Each sample is differenced against its
+    predecessor once, when it is appended, and the interval is kept as
+    one 44-wide row — the only interval the analysis layer and telemetry
+    (live and replayed) ever read.
     """
 
     def __init__(
@@ -179,7 +169,7 @@ class SampleSeries:
         self.samples.append(sample)
         if prev is None:
             return None
-        iv = sample_delta(prev, sample)
+        iv = _sample_delta(prev, sample)
         if self.cadence is not None and iv.seconds > self.cadence * 1.5:
             iv = dataclasses.replace(iv, interpolated=True)
         n = len(self._starts)
@@ -259,9 +249,6 @@ class SystemCollector(SampleSeries):
         #: timeline (sample publication happens inside it, so alerts
         #: fired from the sample carry this span's id).
         self.tracer = tracer
-        #: Nodes unreachable as of the latest pass (transition tracking
-        #: for the node.down / node.up bus topics).
-        self._down: set[int] = set()
         #: Fault-injection hook: when set, the next cron pass is lost
         #: (no sample stored) — the §3 pipeline's missing data files.
         self._drop_next = False
@@ -371,29 +358,11 @@ class SystemCollector(SampleSeries):
         return ids, missing, matrix
 
     def _publish(self, sample: SystemSample, interval: IntervalCounts | None) -> None:
-        """Feed the streaming side: the sample and the interval it
-        closed, plus node reachability transitions (down on first missed
-        pass, up on the first answered one)."""
+        """Feed the streaming side: the sample and the interval it closed."""
         if self.bus is None:
             return
-        from repro.telemetry.bus import (
-            TOPIC_NODE_DOWN,
-            TOPIC_NODE_UP,
-            TOPIC_SAMPLE,
-            NodeStateChanged,
-            SampleTaken,
-        )
+        from repro.telemetry.bus import TOPIC_SAMPLE, SampleTaken
 
-        now_down = set(sample.missing)
-        for node_id in sorted(now_down - self._down):
-            self.bus.publish(
-                TOPIC_NODE_DOWN, NodeStateChanged(time=sample.time, node_id=node_id, up=False)
-            )
-        for node_id in sorted(self._down - now_down):
-            self.bus.publish(
-                TOPIC_NODE_UP, NodeStateChanged(time=sample.time, node_id=node_id, up=True)
-            )
-        self._down = now_down
         self.bus.publish(
             TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
         )

@@ -93,13 +93,12 @@ def replay_into_hub(
     truncations = (
         dataset.telemetry.truncations if dataset.telemetry is not None else ()
     )
-    faults = dataset.faults.events if dataset.faults is not None else ()
     for topic, event in replay_events(
-        dataset.collector.samples,
+        dataset.collector,
         dataset.accounting.records,
         spans=spans,
         truncations=truncations,
-        faults=faults,
+        faults=dataset.faults,
     ):
         hub.feed(name, topic, event, member=member)
 

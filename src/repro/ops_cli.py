@@ -87,7 +87,9 @@ def _telemetry(dataset: StudyDataset) -> TelemetryService:
     # path covers datasets loaded from elsewhere.
     if dataset.telemetry is not None:
         return dataset.telemetry
-    return TelemetryService.replay(dataset.collector.samples, dataset.accounting.records)
+    return TelemetryService.replay(
+        dataset.collector, dataset.accounting.records, faults=dataset.faults
+    )
 
 
 def _no_samples(dataset: StudyDataset) -> bool:

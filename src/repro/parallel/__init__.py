@@ -22,7 +22,6 @@ from repro.parallel.checkpoint import (
 from repro.parallel.merge import (
     JOB_ID_STRIDE,
     SPAN_ID_STRIDE,
-    MergedSampleSeries,
     merge_shard_results,
 )
 from repro.parallel.plan import DEFAULT_SHARD_DAYS, Shard, plan_shards
@@ -43,7 +42,6 @@ __all__ = [
     "DEFAULT_SHARD_DAYS",
     "JOB_ID_STRIDE",
     "SPAN_ID_STRIDE",
-    "MergedSampleSeries",
     "Shard",
     "ShardExecutionError",
     "ShardResult",

@@ -16,9 +16,11 @@ processed in index order):
   ranges (``job_id + index × JOB_ID_STRIDE``).
 * **Spans** likewise (``s<n>`` → ``s<n + index × SPAN_ID_STRIDE>``), via
   :meth:`repro.tracing.span.Span.rebase`.
-* **Telemetry** is rebuilt by :meth:`TelemetryService.replay` over the
-  merged sample/record streams — deterministic by construction, and
-  identical no matter how many workers executed the shards.
+* **Telemetry** is rebuilt by :meth:`TelemetryService.replay` from the
+  merged :class:`~repro.hpm.collector.SampleSeries` (whose intervals are
+  differenced once, on append), the merged records and the merged fault
+  log — deterministic by construction, and identical no matter how many
+  workers executed the shards.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.hpm.collector import SampleSeries, SystemSample
 from repro.parallel.worker import ShardResult
 from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import JobRecord
+from repro.telemetry.service import TelemetryService
 from repro.workload.traces import SECONDS_PER_DAY, CampaignTrace
 
 #: Shard *k*'s jobs are numbered ``k×STRIDE + local_id``.  Wide enough
@@ -42,10 +45,6 @@ JOB_ID_STRIDE = 1_000_000
 #: numerous than jobs (every simulator event dispatch is one), so the
 #: stride is correspondingly wider.
 SPAN_ID_STRIDE = 1_000_000_000
-
-
-class MergedSampleSeries(SampleSeries):
-    """The campaign-wide sample run assembled from shard samples."""
 
 
 def merge_samples(results: list[ShardResult]) -> list[SystemSample]:
@@ -191,7 +190,6 @@ def merge_shard_results(
     config: StudyConfig,
     results: list[ShardResult],
     *,
-    telemetry: bool = True,
     tracing: bool = False,
 ) -> StudyDataset:
     """Assemble the campaign dataset from shard results (index order)."""
@@ -202,34 +200,21 @@ def merge_shard_results(
             f"shard results cover {expected_days} days, campaign has {config.n_days}"
         )
 
-    samples = merge_samples(results)
     records = merge_records(results)
-    collector = MergedSampleSeries(samples, cadence=config.sample_interval)
+    collector = SampleSeries(merge_samples(results), cadence=config.sample_interval)
     accounting = AccountingLog()
     for r in records:
         accounting.append(r)
 
     spans = merge_spans(results) if tracing else []
-    truncations = [n for res in results for n in res.truncations]
     faults = merge_faults(results)
-
-    service = None
-    if telemetry:
-        from repro.telemetry.service import TelemetryService
-
-        service = TelemetryService.replay(
-            samples,
-            records,
-            spans=spans,
-            truncations=truncations,
-            faults=faults.events if faults is not None else (),
-        )
-        if faults is not None:
-            # Replay sees fault *events* but not the live side effects
-            # (kill notices, dropped passes); carry the counters over so
-            # the merged summary matches the live view.
-            service.jobs_killed_seen = faults.jobs_killed
-            service.collector_gaps_seen = faults.passes_dropped
+    service = TelemetryService.replay(
+        collector,
+        records,
+        spans=spans,
+        truncations=[n for res in results for n in res.truncations],
+        faults=faults,
+    )
 
     tracer = None
     if tracing:
@@ -241,7 +226,7 @@ def merge_shard_results(
     return StudyDataset(
         config=config,
         trace=merge_trace(config, results),
-        collector=collector,  # type: ignore[arg-type] — same sample/interval surface
+        collector=collector,
         accounting=accounting,
         utilization_probes=merge_probes(results),
         telemetry=service,

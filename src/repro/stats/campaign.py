@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.study import StudyConfig, run_campaign
-from repro.parallel.runner import _pool_context
+from repro.parallel.runner import pool_context
 from repro.stats.metrics import DEFAULT_TARGET_METRIC, collect_metrics
 from repro.stats.repeater import Repeater, RepeatResult
 from repro.stats.stopping import StoppingRule
@@ -57,7 +57,6 @@ def make_config_batch_runner(
     spec: ConfigRepeatSpec,
     *,
     workers: int = 1,
-    start_method: str | None = None,
 ) -> Callable[[Sequence[int]], list[dict[str, float]]]:
     """A batch executor over a full config, order preserved."""
 
@@ -66,8 +65,7 @@ def make_config_batch_runner(
         n_procs = min(workers, len(payloads))
         if n_procs <= 1:
             return [_config_repeat_task(p) for p in payloads]
-        ctx = _pool_context(start_method)
-        with ProcessPoolExecutor(max_workers=n_procs, mp_context=ctx) as pool:
+        with ProcessPoolExecutor(max_workers=n_procs, mp_context=pool_context()) as pool:
             return list(pool.map(_config_repeat_task, payloads))
 
     return run_batch
@@ -84,7 +82,6 @@ class CampaignRepeater:
     target_metric: str = DEFAULT_TARGET_METRIC
     confidence: float = 0.95
     workers: int = 1
-    start_method: str | None = None
     on_batch: Callable | None = None
 
     def run(
@@ -97,9 +94,7 @@ class CampaignRepeater:
             batch_size=self.batch_size,
             target_metric=self.target_metric,
             confidence=self.confidence,
-            batch_runner=make_config_batch_runner(
-                self.spec, workers=self.workers, start_method=self.start_method
-            ),
+            batch_runner=make_config_batch_runner(self.spec, workers=self.workers),
             on_batch=self.on_batch,
         )
         return repeater.run(seed0=seed0, seeds=seeds)

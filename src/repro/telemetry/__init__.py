@@ -9,13 +9,10 @@ campaign; this package answers them *during* one.  See
 from repro.telemetry.bus import (
     TOPIC_JOB_END,
     TOPIC_JOB_START,
-    TOPIC_NODE_DOWN,
-    TOPIC_NODE_UP,
     TOPIC_SAMPLE,
     EventBus,
     JobEnded,
     JobStarted,
-    NodeStateChanged,
     SampleTaken,
 )
 from repro.telemetry.rollup import JobRollup, RollupTable
@@ -55,7 +52,6 @@ __all__ = [
     "MetricStore",
     "MetricSummary",
     "NodeGapRule",
-    "NodeStateChanged",
     "Observation",
     "P2Quantile",
     "PagingRule",
@@ -69,8 +65,6 @@ __all__ = [
     "TlbSpikeRule",
     "TOPIC_JOB_END",
     "TOPIC_JOB_START",
-    "TOPIC_NODE_DOWN",
-    "TOPIC_NODE_UP",
     "TOPIC_SAMPLE",
     "default_rules",
     "render_alert",

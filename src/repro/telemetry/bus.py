@@ -3,9 +3,8 @@
 The original RS2HPM pipeline wrote files for *later* analysis (§3); the
 streaming layer replaces the filesystem hand-off with an in-process
 publish/subscribe bus.  Producers are the measurement side — the
-15-minute collector cron, the PBS server's prologue/epilogue, and the
-collector's node-reachability bookkeeping — and the consumers are the
-online side: the metric store, the anomaly engine, and the per-job
+15-minute collector cron, the PBS server's prologue/epilogue and the
+fault injector — and the consumers are the online side: the metric store, the anomaly engine, and the per-job
 rollup table (see :mod:`repro.telemetry.service`).
 
 Delivery is synchronous and in subscription order on the simulation
@@ -30,10 +29,6 @@ TOPIC_SAMPLE = "hpm.sample"
 TOPIC_JOB_START = "pbs.job_start"
 #: A job finished — epilogue time (payload: :class:`JobEnded`).
 TOPIC_JOB_END = "pbs.job_end"
-#: A node daemon stopped answering (payload: :class:`NodeStateChanged`).
-TOPIC_NODE_DOWN = "node.down"
-#: A node daemon answered again (payload: :class:`NodeStateChanged`).
-TOPIC_NODE_UP = "node.up"
 #: A tracing span finished (payload: :class:`SpanFinished`).
 TOPIC_SPAN = "trace.span"
 #: ``Simulator.run(max_events=...)`` stopped with events still queued
@@ -50,8 +45,6 @@ TOPICS = (
     TOPIC_SAMPLE,
     TOPIC_JOB_START,
     TOPIC_JOB_END,
-    TOPIC_NODE_DOWN,
-    TOPIC_NODE_UP,
     TOPIC_SPAN,
     TOPIC_SIM_TRUNCATED,
     TOPIC_FAULT,
@@ -68,9 +61,9 @@ TOPICS = (
 class SampleTaken:
     """One collector pass; ``sample`` is the stored ``SystemSample``.
 
-    ``interval`` is the ``IntervalCounts`` the collector computed when it
-    stored the sample (``None`` for the first sample and on replay,
-    where consumers difference the samples themselves).
+    ``interval`` is the ``IntervalCounts`` the series stored when the
+    sample was appended, live and on replay alike (``None`` only for the
+    series' first sample).
     """
 
     time: float
@@ -96,15 +89,6 @@ class JobEnded:
 
     time: float
     record: JobRecord
-
-
-@dataclass(frozen=True)
-class NodeStateChanged:
-    """A node's daemon became unreachable (or reachable again)."""
-
-    time: float
-    node_id: int
-    up: bool
 
 
 @dataclass(frozen=True)

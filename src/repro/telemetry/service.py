@@ -10,23 +10,24 @@ maintains, *while the simulation runs*:
 * the per-job rollup table (:mod:`repro.telemetry.rollup`) — finalized
   at epilogue time.
 
-The per-sample path is incremental: live, the service takes the
-interval the collector computed when it stored the sample; on replay it
-differences each :class:`~repro.hpm.collector.SystemSample` against the
-previous one with the same :func:`~repro.hpm.collector.sample_delta`.
-Either way it derives the interval's rates once, so the online layer
-costs O(nodes) per sample regardless of campaign length.
+The per-sample path is incremental: the service reads the interval the
+collector's :class:`~repro.hpm.collector.SampleSeries` stored when the
+sample was appended — live, and on replay from the same series — and
+derives the interval's rates once, so the online layer costs O(nodes)
+per sample regardless of campaign length.
 
-``replay`` rebuilds a service from recorded samples and job records —
-the offline path ``sp2-ops`` uses on an already-run dataset, and the
-determinism check (online == replay) in the integration tests.
+``replay`` rebuilds a service from a recorded series, job records and
+fault log — the offline path ``sp2-ops`` uses on an already-run
+dataset, the sharded merge's telemetry, and the determinism check
+(online == replay) in the integration tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable
 
-from repro.hpm.collector import SystemSample, sample_delta
+from repro.hpm.collector import SampleSeries
 from repro.hpm.derived import DerivedRates, workload_rates
 from repro.pbs.job import JobRecord
 from repro.telemetry.bus import (
@@ -51,6 +52,9 @@ from repro.telemetry.bus import (
 from repro.telemetry.rollup import RollupTable
 from repro.telemetry.rules import Alert, AnomalyEngine, Observation
 from repro.telemetry.store import MetricStore
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.faults.events import FaultLog
 
 #: The live metric catalog (name → what the value is, per interval).
 METRIC_CATALOG: dict[str, str] = {
@@ -89,7 +93,6 @@ class TelemetryService:
         # docs/TRACING.md); the engine reads the tracer's current span.
         if tracer is not None and self.engine.tracer is None:
             self.engine.tracer = tracer
-        self._prev_sample: SystemSample | None = None
         self.samples_seen = 0
         self.intervals_seen = 0
         #: Tracing spans republished on the bus, counted by category.
@@ -118,16 +121,12 @@ class TelemetryService:
     # Bus handlers
     # ------------------------------------------------------------------
     def _on_sample(self, ev: SampleTaken) -> None:
-        sample = ev.sample
         self.samples_seen += 1
-        prev, self._prev_sample = self._prev_sample, sample
-        if prev is None:
-            return
-        iv = ev.interval if ev.interval is not None else sample_delta(prev, sample)
-        if iv.seconds <= 0 or iv.n_nodes <= 0:
+        iv = ev.interval
+        if iv is None or iv.seconds <= 0 or iv.n_nodes <= 0:
             return
         rates = workload_rates(iv.row, iv.seconds, iv.n_nodes)
-        self._record_interval(sample.time, rates, iv.n_nodes, sample.missing)
+        self._record_interval(ev.sample.time, rates, iv.n_nodes, ev.sample.missing)
 
     def _on_job_end(self, ev: JobEnded) -> None:
         self.rollups.on_end(ev)
@@ -238,22 +237,23 @@ class TelemetryService:
     @classmethod
     def replay(
         cls,
-        samples: Iterable[SystemSample],
+        series: SampleSeries,
         records: Iterable[JobRecord] = (),
         *,
         spans: Iterable = (),  # repro.tracing.span.Span (kept untyped: no cycle)
         truncations: Iterable[SimTruncated] = (),
-        faults: Iterable = (),  # repro.faults.events.FaultEvent (kept untyped)
+        faults: "FaultLog | None" = None,
     ) -> "TelemetryService":
-        """Rebuild the live view from recorded samples and job records.
+        """Rebuild the live view from a recorded series, job records and
+        fault log.
 
         Job starts are synthesized from the records' start times (only
         finished jobs leave records, so ``jobs.active`` can undercount
         near the horizon relative to the live view); everything the rules
         and metric derivations consume is fed in time order exactly as
-        the live bus would have delivered it, so replayed alerts match
-        online alerts — the determinism property the integration tests
-        assert.
+        the live bus would have delivered it, with the intervals the
+        series stored, so replayed alerts match online alerts — the
+        determinism property the integration tests assert.
 
         ``spans`` (recorded :class:`~repro.tracing.span.Span` objects)
         and ``truncations`` let callers that *do* hold the tracing side
@@ -262,37 +262,42 @@ class TelemetryService:
         stream (offline replay cannot interleave them exactly as the
         live bus did, but the counters and job→span index match).
 
-        ``faults`` (recorded ``FaultEvent`` objects, e.g. a merged
-        ``FaultLog``'s events) are interleaved with the sample stream by
-        time, so the replayed alert list carries the same fault alerts
-        the live service produced.
+        ``faults`` (a campaign's ``FaultLog``) has its events interleaved
+        with the sample stream by time, so the replayed alert list
+        carries the same fault alerts the live service produced.  Kill
+        notices and dropped passes leave no event of their own; the
+        log's counters carry them into the summary.
         """
         service = cls()
         for topic, event in replay_events(
-            samples,
+            series,
             records,
             spans=spans,
             truncations=truncations,
             faults=faults,
         ):
             service.bus.publish(topic, event)
+        if faults is not None:
+            service.jobs_killed_seen = faults.jobs_killed
+            service.collector_gaps_seen = faults.passes_dropped
         return service
 
 
 def replay_events(
-    samples: Iterable[SystemSample],
+    series: SampleSeries,
     records: Iterable[JobRecord] = (),
     *,
     spans: Iterable = (),
     truncations: Iterable[SimTruncated] = (),
-    faults: Iterable = (),
+    faults: "FaultLog | None" = None,
 ) -> Iterable[tuple[str, object]]:
     """The canonical replay ordering, as ``(topic, event)`` pairs.
 
     This is the single definition of how a recorded campaign becomes an
     event stream again: faults, job ends and job starts are interleaved
     with the sample stream by time, then trailing records, spans and
-    truncation notices follow.  :meth:`TelemetryService.replay` publishes
+    truncation notices follow.  Each sample travels with the interval
+    the series stored for it.  :meth:`TelemetryService.replay` publishes
     these pairs on a fresh bus; the ops hub (:mod:`repro.ops.ingest`)
     feeds the identical stream into its own per-campaign services, which
     is what makes ``hub state == replay()`` a theorem rather than a
@@ -300,12 +305,12 @@ def replay_events(
     """
     span_list = list(spans)
     truncation_list = list(truncations)
-    fault_list = sorted(faults, key=lambda f: f.time)
+    fault_list = sorted(faults.events, key=lambda f: f.time) if faults is not None else []
     recs = list(records)
     starts = sorted(recs, key=lambda r: (r.start_time, r.job_id))
     ends = sorted(recs, key=lambda r: (r.end_time, r.job_id))
     si = ei = fi = 0
-    for sample in samples:
+    for sample, interval in zip(series.samples, chain((None,), series.intervals())):
         while fi < len(fault_list) and fault_list[fi].time <= sample.time:
             fe = fault_list[fi]
             yield TOPIC_FAULT, FaultInjected(time=fe.time, event=fe)
@@ -328,7 +333,7 @@ def replay_events(
                 ),
             )
             si += 1
-        yield TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample)
+        yield TOPIC_SAMPLE, SampleTaken(time=sample.time, sample=sample, interval=interval)
     for fe in fault_list[fi:]:
         yield TOPIC_FAULT, FaultInjected(time=fe.time, event=fe)
     for rec in ends[ei:]:

@@ -116,3 +116,24 @@ class TestCollector:
         assert len(col.intervals()) == 1
         col.collect(20.0)
         assert len(col.intervals()) == 2
+
+
+class TestSampleSeries:
+    def test_backwards_counter_names_node_counter_and_times(self):
+        import re
+
+        from repro.hpm.collector import SampleSeries, SystemSample
+        from repro.power2.counters import FLAT_NAMES
+
+        before = np.zeros((2, len(FLAT_NAMES)), dtype=np.int64)
+        before[1, 3] = 10
+        after = before.copy()
+        after[1, 3] = 4
+        series = SampleSeries()
+        series.append(SystemSample(time=900.0, node_ids=(5, 6), matrix=before))
+        with pytest.raises(
+            ValueError,
+            match=rf"software counter {re.escape(FLAT_NAMES[3])} on node 6 went backwards "
+            r"between samples at t=900 and t=1800",
+        ):
+            series.append(SystemSample(time=1800.0, node_ids=(5, 6), matrix=after))

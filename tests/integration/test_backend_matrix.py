@@ -31,13 +31,7 @@ def _serial_json(seed: int, **kwargs) -> str:
 
 
 def _sharded_json(seed: int, workers: int) -> str:
-    # Forked workers inherit the oracle seam from the parent process.
-    ds = run_parallel_study(
-        StudyConfig(seed=seed, **SMALL),
-        workers=workers,
-        shard_days=1,
-        start_method="fork",
-    )
+    ds = run_parallel_study(StudyConfig(seed=seed, **SMALL), workers=workers, shard_days=1)
     return dataset_to_json(ds)
 
 
@@ -59,6 +53,11 @@ class TestSerialMatrix:
 
 
 class TestShardedMatrix:
+    @pytest.fixture(autouse=True)
+    def _fork_workers(self, monkeypatch):
+        # Forked workers inherit the oracle seam from the parent process.
+        monkeypatch.setenv("REPRO_MP_START", "fork")
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_backend_and_worker_count_invariant(self, seed):
         """{scalar oracle, store} × {1, 4 workers}: one byte pattern."""

@@ -81,19 +81,3 @@ class TestNodeGapAlerts:
         down = next(a for a in gaps if a.key == f"node-{victim.node_id}")
         up = next(a for a in gaps if a.key == f"node-{victim.node_id}-up")
         assert down.time < up.time
-
-    def test_bus_publishes_node_transitions(self):
-        from repro.telemetry.bus import TOPIC_NODE_DOWN, TOPIC_NODE_UP
-
-        cfg = StudyConfig(seed=13, n_days=2, n_nodes=16, n_users=8)
-        study = WorkloadStudy(cfg)
-        downs: list = []
-        ups: list = []
-        study.bus.subscribe(TOPIC_NODE_DOWN, downs.append)
-        study.bus.subscribe(TOPIC_NODE_UP, ups.append)
-        victim = study.daemons[0]
-        study.sim.schedule_at(0.5 * 86400, lambda sim: victim.mark_down(), name="kill")
-        study.sim.schedule_at(1.0 * 86400, lambda sim: victim.mark_up(), name="revive")
-        study.run()
-        assert len(downs) == 1 and downs[0].node_id == victim.node_id
-        assert len(ups) == 1 and ups[0].up

@@ -12,9 +12,7 @@ from repro.telemetry.service import TelemetryService
 
 @pytest.fixture(scope="module")
 def table(tiny_dataset):
-    service = TelemetryService.replay(
-        tiny_dataset.collector.samples, tiny_dataset.accounting.records
-    )
+    service = TelemetryService.replay(tiny_dataset.collector, tiny_dataset.accounting.records)
     return service.rollups
 
 

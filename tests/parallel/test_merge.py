@@ -170,3 +170,28 @@ class TestSpanRebase:
         span = Span(span_id="s4", name="x", category="c", start=1.0, end=None)
         out = span.rebase()
         assert out.span_id == "s4" and out.end is None
+
+
+class TestMergeShardResults:
+    def test_each_merged_interval_differenced_once(self, monkeypatch):
+        """The merged series differences each interval when it is built;
+        the telemetry replay reads those stored intervals back."""
+        import repro.hpm.collector as collector
+        from repro.core.study import StudyConfig
+        from repro.parallel.merge import merge_shard_results
+        from repro.parallel.plan import plan_shards
+        from repro.parallel.runner import execute_shards
+
+        config = StudyConfig(seed=4, n_days=2, n_nodes=16, n_users=6)
+        results = execute_shards(config, plan_shards(config.n_days, 1))
+        calls = []
+        real = collector._sample_delta
+
+        def counting(before, after):
+            calls.append(after.time)
+            return real(before, after)
+
+        monkeypatch.setattr(collector, "_sample_delta", counting)
+        dataset = merge_shard_results(config, results)
+        assert len(calls) == len(dataset.collector.samples) - 1
+        assert dataset.telemetry.intervals_seen == len(calls)

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.core.study import run_study
 from repro.hpm.derived import workload_rates
 from repro.telemetry.service import METRIC_CATALOG, TelemetryService
+
+
+@pytest.fixture(scope="module")
+def faulted_dataset():
+    """A serial campaign that kills jobs and drops collector passes."""
+    return run_study(seed=3, n_days=8, n_nodes=32, n_users=10, fault_profile="pathological")
 
 
 class TestLiveWiring:
@@ -80,19 +87,28 @@ class TestLiveWiring:
 
 
 class TestReplay:
-    def test_replay_matches_online(self, small_dataset):
-        """Offline replay of the recorded samples + records must produce
-        the same alerts and the same metric series as the live run."""
-        t = small_dataset.telemetry
-        r = TelemetryService.replay(
-            small_dataset.collector.samples, small_dataset.accounting.records
-        )
-        assert r.engine.alerts == t.engine.alerts
-        assert r.engine.suppressed == t.engine.suppressed
-        for name in ("gflops.system", "fxu.sys_user_ratio", "tlb.miss_rate"):
-            _, online = t.store.window(name)
-            _, replayed = r.store.window(name)
-            assert np.array_equal(online, replayed)
-        assert [x.job_id for x in r.rollups.finished] == [
-            x.job_id for x in t.rollups.finished
-        ]
+    def test_replay_matches_online(self, small_dataset, faulted_dataset):
+        """Offline replay of the recorded series, records and fault log
+        must produce the same alerts, metric series and summary as the
+        live run, healthy or faulted.  ``jobs.active`` is left out: only
+        finished jobs leave records to replay."""
+        for dataset in (small_dataset, faulted_dataset):
+            t = dataset.telemetry
+            r = TelemetryService.replay(
+                dataset.collector, dataset.accounting.records, faults=dataset.faults
+            )
+            assert r.engine.alerts == t.engine.alerts
+            assert r.engine.suppressed == t.engine.suppressed
+            for name in set(METRIC_CATALOG) - {"jobs.active"}:
+                online = t.store.window(name)
+                replayed = r.store.window(name)
+                assert np.array_equal(online[0], replayed[0]), name
+                assert np.array_equal(online[1], replayed[1]), name
+            live_summary, replay_summary = t.summary(), r.summary()
+            del live_summary["jobs_active"], replay_summary["jobs_active"]
+            assert replay_summary == live_summary
+            assert [x.job_id for x in r.rollups.finished] == [
+                x.job_id for x in t.rollups.finished
+            ]
+        assert faulted_dataset.telemetry.summary()["jobs_killed_seen"] > 0
+        assert faulted_dataset.telemetry.summary()["collector_gaps_seen"] > 0
