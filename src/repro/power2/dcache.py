@@ -11,10 +11,13 @@ This is the *reference* model of the POWER2 data cache: 256 kB, 4-way,
   ("occurs when the D-cache destination for incoming data currently
   contains data which has been modified", Table 1).
 
-Access streams are NumPy arrays of byte addresses; the walk itself is a
-Python loop over the stream (the streams used for derivation are small —
-profiling per the hpc-parallel guide showed this is nowhere near the
-campaign's critical path, which is fully analytic).
+Access streams are NumPy arrays of byte addresses.  :meth:`run` walks a
+whole stream with the shared per-set LRU walk of
+:mod:`repro.power2.lruwalk`: every set steps together as numpy
+operations, and the last few busy sets finish in a plain Python loop.
+:meth:`access` is the scalar definition of one reference and the
+oracle the walk is tested against; both leave bit-identical stats and
+state, and calls to the two (and :meth:`flush`) may be mixed freely.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.power2.config import CacheGeometry
+from repro.power2.lruwalk import walk
 
 
 @dataclass
@@ -92,6 +96,8 @@ class SetAssociativeCache:
 
     def access(self, address: int, *, write: bool = False) -> bool:
         """One byte-address access; returns ``True`` on a hit."""
+        if address < 0:
+            raise ValueError(f"negative address {address}")
         line = int(address) >> self._line_shift
         set_idx = line % self._n_sets
         tag = line // self._n_sets
@@ -125,14 +131,29 @@ class SetAssociativeCache:
     def run(self, addresses: np.ndarray, writes: np.ndarray | None = None) -> CacheStats:
         """Walk an address stream; returns the stats accumulated so far."""
         addrs = np.asarray(addresses, dtype=np.int64)
-        if writes is None:
-            w = np.zeros(addrs.shape, dtype=bool)
-        else:
+        if addrs.ndim != 1:
+            raise ValueError("address stream must be one-dimensional")
+        w = None
+        if writes is not None:
             w = np.asarray(writes, dtype=bool)
             if w.shape != addrs.shape:
                 raise ValueError("writes mask must match the address stream")
-        for a, is_w in zip(addrs.tolist(), w.tolist()):
-            self.access(a, write=is_w)
+        if addrs.size and int(addrs.min()) < 0:
+            raise ValueError("negative address in the stream")
+        lines = addrs >> self._line_shift
+        hits, misses, writebacks = walk(
+            self._tags,
+            self._lru,
+            self._dirty,
+            lines % self._n_sets,
+            lines // self._n_sets,
+            w,
+        )
+        self.stats.accesses += int(addrs.size)
+        self.stats.hits += hits
+        self.stats.misses += misses
+        self.stats.reloads += misses
+        self.stats.writebacks += writebacks
         return self.stats
 
     # ------------------------------------------------------------------

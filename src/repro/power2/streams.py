@@ -131,7 +131,13 @@ def measure_stream(
     write_fraction: float = 0.0,
     seed: int = 0,
 ) -> StreamMeasurement:
-    """Run a stream through the reference D-cache and TLB simulators."""
+    """Run a stream through the reference D-cache and TLB simulators.
+
+    ``write_fraction`` is the chance each access is a store, in [0, 1].
+    Both walks' stats invariants are checked before returning.
+    """
+    if not 0.0 <= write_fraction <= 1.0:
+        raise ValueError(f"write_fraction must be in [0, 1], got {write_fraction}")
     cfg = config or POWER2_590
     addrs = np.asarray(addresses, dtype=np.int64)
     cache = SetAssociativeCache(cfg.dcache)
@@ -141,8 +147,8 @@ def measure_stream(
         writes = rng.random(addrs.size) < write_fraction
     else:
         writes = None
-    cache.run(addrs, writes)
-    tlb.run(addrs)
+    cache.run(addrs, writes).check()
+    tlb.run(addrs).check()
     return StreamMeasurement(
         accesses=int(addrs.size),
         dcache_miss_ratio=cache.stats.miss_ratio,

@@ -5,6 +5,11 @@ derives the analytic TLB miss ratios (Table 4: 0.1% workload, 0.2%
 sequential, 0.06% NPB BT) and supports the §5 observation that "we might
 expect high TLB miss rates from programs accessing data with large
 memory strides".
+
+:meth:`TLB.run` walks a whole stream with the per-set LRU walk of
+:mod:`repro.power2.lruwalk` that the D-cache shares; :meth:`TLB.access`
+is the scalar definition and the oracle the walk is tested against.
+Both leave bit-identical stats and state, and may be mixed freely.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.power2.config import TLBGeometry
+from repro.power2.lruwalk import walk
 
 
 @dataclass
@@ -25,6 +31,11 @@ class TLBStats:
     @property
     def miss_ratio(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
+
+    def check(self) -> None:
+        """Internal consistency: hits + misses == accesses."""
+        if self.hits + self.misses != self.accesses:
+            raise AssertionError("hits + misses != accesses")
 
 
 class TLB:
@@ -52,6 +63,8 @@ class TLB:
 
     def access(self, address: int) -> bool:
         """Translate one byte address; returns ``True`` on a TLB hit."""
+        if address < 0:
+            raise ValueError(f"negative address {address}")
         page = int(address) >> self._page_shift
         set_idx = page % self._n_sets
         tag = page // self._n_sets
@@ -72,8 +85,19 @@ class TLB:
         return bool(hit_ways.size)
 
     def run(self, addresses: np.ndarray) -> TLBStats:
-        for a in np.asarray(addresses, dtype=np.int64).tolist():
-            self.access(a)
+        """Translate an address stream; returns the stats accumulated so far."""
+        addrs = np.asarray(addresses, dtype=np.int64)
+        if addrs.ndim != 1:
+            raise ValueError("address stream must be one-dimensional")
+        if addrs.size and int(addrs.min()) < 0:
+            raise ValueError("negative address in the stream")
+        pages = addrs >> self._page_shift
+        hits, misses, _ = walk(
+            self._tags, self._lru, None, pages % self._n_sets, pages // self._n_sets
+        )
+        self.stats.accesses += int(addrs.size)
+        self.stats.hits += hits
+        self.stats.misses += misses
         return self.stats
 
     @staticmethod

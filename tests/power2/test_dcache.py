@@ -107,6 +107,20 @@ class TestRun:
         c.run(np.array([0, 512]), writes=np.array([True, False]))
         assert c.stats.writebacks == 1
 
+    def test_negative_address_rejected(self):
+        """Tag -1 would alias the empty-way marker and hit a cold cache."""
+        c = small_cache()
+        with pytest.raises(ValueError, match="negative address"):
+            c.access(-256)
+        with pytest.raises(ValueError, match="negative address"):
+            c.run(np.array([0, 64, -256]))
+        assert c.stats.accesses == 0
+        assert not c.contains(0)
+
+    def test_stream_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            small_cache().run(np.zeros((2, 2), dtype=np.int64))
+
     def test_writes_mask_shape_checked(self):
         c = small_cache()
         with pytest.raises(ValueError):

@@ -109,3 +109,8 @@ class TestValidation:
         dirty = measure_stream(stream, write_fraction=1.0)
         assert clean.dcache_stats.writebacks == 0
         assert dirty.dcache_stats.writebacks > 0
+
+    @pytest.mark.parametrize("fraction", [-0.5, 1.0001, 7.0, float("nan")])
+    def test_write_fraction_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="write_fraction"):
+            measure_stream(strided_stream(16, 256), write_fraction=fraction)

@@ -103,6 +103,23 @@ class TestEdgeCases:
         assert t.access(a) is True
         assert t.access(b) is False  # B was the victim
 
+    def test_negative_address_rejected(self):
+        """Tag -1 would alias the empty-way marker and hit a cold TLB."""
+        t = TLB()
+        with pytest.raises(ValueError, match="negative address"):
+            t.access(-4096)
+        with pytest.raises(ValueError, match="negative address"):
+            t.run(np.array([0, 4096, -4096]))
+        assert t.stats.accesses == 0
+
+    def test_stats_check(self):
+        t = TLB()
+        t.run(np.arange(0, 8 * 4096, 1024))
+        t.stats.check()
+        t.stats.hits += 1
+        with pytest.raises(AssertionError):
+            t.stats.check()
+
     def test_flush_mid_stream_restarts_cold(self):
         t = TLB()
         t.run(np.arange(0, 16 * 4096, 4096))
