@@ -3,9 +3,8 @@
 Drives the ``repro.ops`` TCP service with many simultaneous clients (the
 default is 1000, the ISSUE floor) hammering the mixed query surface —
 ``ping``, ``query``, ``jobs``, ``alerts`` — against a completed campaign,
-and reports request latency percentiles measured through the same P²
-sketches the telemetry layer uses (``repro.telemetry.sketch``), so the
-benchmark exercises the estimator it reports with.
+and reports exact request latency percentiles (``np.percentile`` over
+every request's latency).
 
 Entry points, mirroring ``bench_fleet``:
 
@@ -30,12 +29,13 @@ import sys
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.study import StudyConfig, WorkloadStudy
 from repro.ops import CampaignHub, OpsClient, OpsServer
 from repro.ops.ingest import replay_into_hub
 from repro.stats.estimators import mean_ci
 from repro.stats.gate import ci_overlap_gate, render_gate
-from repro.telemetry.sketch import QuantileSet
 
 #: The mixed request diet each client cycles through.
 REQUEST_MIX = (
@@ -90,7 +90,7 @@ async def _run_load(
     hub: CampaignHub, *, clients: int, requests_per_client: int
 ) -> LoadResult:
     server = await OpsServer.start(hub)
-    sketch = QuantileSet((0.5, 0.95, 0.99))
+    latencies_ms: list[float] = []
     errors = 0
     connected = 0
     gate = asyncio.Event()  # hold everyone until all clients connected
@@ -116,7 +116,7 @@ async def _run_load(
                     errors += 1
                 else:
                     done += 1
-                sketch.add((time.perf_counter() - t0) * 1e3)
+                latencies_ms.append((time.perf_counter() - t0) * 1e3)
             return done
 
     try:
@@ -129,15 +129,15 @@ async def _run_load(
     finally:
         await server.close()
 
-    values = sketch.values()
+    p50, p95, p99 = np.percentile(latencies_ms, [50, 95, 99]).tolist()
     return LoadResult(
         clients=clients,
         requests=sum(done),
         errors=errors,
         seconds=seconds,
-        p50_ms=values[0.5],
-        p95_ms=values[0.95],
-        p99_ms=values[0.99],
+        p50_ms=p50,
+        p95_ms=p95,
+        p99_ms=p99,
     )
 
 

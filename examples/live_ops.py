@@ -5,8 +5,9 @@ The paper found the §6 paging pathology months after the fact, by mining
 nine months of collected files. This example runs a short campaign with
 the streaming telemetry subsystem attached and shows what an operator
 would have seen *while it happened*: the live metric feed, the alerts
-the rule engine raised, campaign-wide streaming quantiles (P² sketches,
-no raw history kept), and the per-job rollups frozen at each epilogue.
+the rule engine raised, campaign-wide quantiles (exact, computed from
+every stored interval when asked), and the per-job rollups frozen at
+each epilogue.
 
 The same views are available from the shell::
 
@@ -48,10 +49,10 @@ def main() -> None:
           + ", ".join(f"{r}={n}" for r, n in sorted(by_rule.items())))
 
     # ------------------------------------------------------------------
-    # Streaming summaries: quantiles from P² sketches, not raw history
+    # Campaign summaries: exact aggregates over every stored interval
     # ------------------------------------------------------------------
     summaries = Table(
-        title="Campaign metric summaries (streaming aggregates)",
+        title="Campaign metric summaries (exact, whole campaign)",
         columns=("Metric", "n", "Last", "EWMA", "p50", "p99", "Max"),
     )
     for name in ("gflops.system", "fxu.sys_user_ratio", "tlb.miss_rate",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.telemetry.store import DEFAULT_EWMA_ALPHA, SeriesSnapshot
+from repro.telemetry.store import SeriesSnapshot, summarize
 
 #: Prefix of every federated metric name.
 FLEET_PREFIX = "fleet."
@@ -32,9 +32,6 @@ FLEET_PREFIX = "fleet."
 #: Metrics that add across centers; everything else federates as the
 #: node-count-weighted mean (per-node rates and ratios).
 SUM_METRICS = frozenset({"gflops.system", "nodes.reporting", "jobs.active"})
-
-#: Quantiles reported by federated rollups (mirrors the store sketches).
-ROLLUP_QUANTILES = (0.5, 0.9, 0.99)
 
 
 def member_metric(member: str, metric: str) -> str:
@@ -78,53 +75,28 @@ def federate_series(
 ) -> SeriesSnapshot:
     """Merge member snapshots of one metric into the fleet rollup.
 
-    The result is a synthetic :class:`SeriesSnapshot` named
-    ``fleet.<metric>``: raw points are the aligned merge, and because
-    the merged window is fully materialized its summary statistics are
-    exact (``np.percentile``) rather than P² estimates — the member
-    sketches cannot be combined, so recomputing from the merge is both
-    simpler and more accurate.  ``dropped`` sums the member rings'
-    evictions: a federated window is only as complete as its inputs.
+    The result is a :class:`SeriesSnapshot` named ``fleet.<metric>``
+    over the aligned merge of every point the members hold, not just
+    their served windows, so its aggregates (:func:`summarize`, exact,
+    as for any series) cover the whole campaign.  Its served window
+    starts at the oldest point any member still serves; ``dropped``
+    counts the aligned times before it.
     """
-    series = {m: s for m, s in member_series.items() if s is not None and s.size}
+    series = {m: s for m, s in member_series.items() if s is not None and s.count}
     if not series:
-        return SeriesSnapshot(
-            name=rollup_metric(metric),
-            count=0,
-            dropped=sum(s.dropped for s in member_series.values() if s is not None),
-            ewma=0.0,
-            min=0.0,
-            max=0.0,
-            quantiles={q: 0.0 for q in ROLLUP_QUANTILES},
-            times=np.empty(0),
-            values=np.empty(0),
-        )
-    times = np.unique(np.concatenate([s.times for s in series.values()]))
+        return summarize(rollup_metric(metric), np.empty(0), np.empty(0))
+    times = np.unique(np.concatenate([s.all_times for s in series.values()]))
     acc = np.zeros(len(times))
     weight = np.zeros(len(times))
     additive = metric in SUM_METRICS
     for member in sorted(series):
         snap = series[member]
-        idx = np.searchsorted(times, snap.times)
+        idx = np.searchsorted(times, snap.all_times)
         w = 1.0 if additive else float(max(node_weights.get(member, 1), 1))
-        acc[idx] += snap.values if additive else snap.values * w
+        acc[idx] += snap.all_values if additive else snap.all_values * w
         weight[idx] += w
     values = acc if additive else acc / np.maximum(weight, 1e-300)
-
-    ewma = 0.0
-    for i, v in enumerate(values):
-        v = float(v)
-        ewma = v if i == 0 else DEFAULT_EWMA_ALPHA * v + (1 - DEFAULT_EWMA_ALPHA) * ewma
-    return SeriesSnapshot(
-        name=rollup_metric(metric),
-        count=len(values),
-        dropped=sum(s.dropped for s in member_series.values() if s is not None),
-        ewma=ewma,
-        min=float(values.min()),
-        max=float(values.max()),
-        quantiles={
-            q: float(np.percentile(values, q * 100.0)) for q in ROLLUP_QUANTILES
-        },
-        times=times,
-        values=values,
+    served_from = min(float(s.times[0]) for s in series.values())
+    return summarize(
+        rollup_metric(metric), times, values, int(np.searchsorted(times, served_from))
     )

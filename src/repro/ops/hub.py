@@ -6,11 +6,13 @@ A :class:`CampaignHub` holds the live state of *many* campaigns at once
 recorded or live bus events.  Everything the query API serves comes out
 of the hub:
 
-* **bounded memory** — hub stores use the ring capacity and the
-  ``max_series`` cap (:mod:`repro.telemetry.store`), and the hub itself
-  holds at most ``max_campaigns`` campaigns, evicting the oldest
-  *finished* one when a new registration would overflow (a running
-  campaign is never evicted; registration fails instead);
+* **bounded campaign count** — the hub holds at most
+  ``max_campaigns`` campaigns, evicting the oldest *finished* one when
+  a new registration would overflow (a running campaign is never
+  evicted; registration fails instead).  Within a campaign, memory
+  grows with its length: the stores (:mod:`repro.telemetry.store`)
+  keep every point, and ``store_capacity`` limits only the window a
+  query serves;
 * **snapshot isolation** — every read path hands out immutable
   :class:`~repro.telemetry.store.SeriesSnapshot` views, so a query
   handler that awaits mid-computation still reports one consistent
@@ -27,7 +29,7 @@ simple and the ``hub state == replay()`` determinism testable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from repro.ops.federate import (
@@ -126,13 +128,11 @@ class CampaignHub:
         *,
         max_campaigns: int = DEFAULT_MAX_CAMPAIGNS,
         store_capacity: int | None = None,
-        max_series: int | None = None,
     ) -> None:
         if max_campaigns <= 0:
             raise ValueError(f"max_campaigns must be positive, got {max_campaigns}")
         self.max_campaigns = max_campaigns
         self.store_capacity = store_capacity
-        self.max_series = max_series
         self._campaigns: dict[str, CampaignHandle] = {}
         self._seq = 0
         #: Campaigns evicted to make room (count; catalog reports it).
@@ -143,15 +143,9 @@ class CampaignHub:
     # Registration and lifecycle
     # ------------------------------------------------------------------
     def _new_service(self) -> TelemetryService:
-        store = MetricStore(
-            **(
-                {"capacity": self.store_capacity}
-                if self.store_capacity is not None
-                else {}
-            ),
-            max_series=self.max_series,
-        )
-        return TelemetryService(store=store)
+        if self.store_capacity is None:
+            return TelemetryService()
+        return TelemetryService(store=MetricStore(capacity=self.store_capacity))
 
     def register(
         self,
@@ -275,9 +269,6 @@ class CampaignHub:
                     "points_dropped": sum(
                         s.store.points_dropped for s in h.services.values()
                     ),
-                    "series_evicted": sum(
-                        s.store.series_evicted for s in h.services.values()
-                    ),
                     "meta": dict(h.meta),
                 }
             )
@@ -320,20 +311,9 @@ class CampaignHub:
                 raise UnknownMetric(
                     f"member {member!r} of {name!r} has no metric {base!r}"
                 )
-            snap = store.series(base).snapshot()
             # Re-label under the federated name so responses are
             # self-describing.
-            return SeriesSnapshot(
-                name=metric,
-                count=snap.count,
-                dropped=snap.dropped,
-                ewma=snap.ewma,
-                min=snap.min,
-                max=snap.max,
-                quantiles=snap.quantiles,
-                times=snap.times,
-                values=snap.values,
-            )
+            return replace(store.series(base).snapshot(), name=metric)
         per_member = {
             m: (
                 handle.service(m).store.series(base).snapshot()

@@ -128,8 +128,8 @@ def series_to_json(
 
     Summary statistics are always included; the raw window rides along
     only when ``points`` is requested (a thousand subscribed dashboards
-    asking for summaries must not each ship the whole ring).  ``dropped``
-    is always present — a served window silently missing evicted points
+    asking for summaries must not each ship the whole window).  ``dropped``
+    is always present — a served window silently missing older points
     is exactly the trust gap the drop counters exist to close.
     """
     times, values = snap.window(t0, t1)

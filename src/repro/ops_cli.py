@@ -180,7 +180,7 @@ def cmd_tail(dataset: StudyDataset, args: argparse.Namespace) -> int:
     while pending is not None:
         print("! " + render_alert(pending))
         pending = next(alerts, None)
-    # The ring caps every displayed series identically, but report the
+    # The window caps every displayed series identically, but report the
     # worst case rather than trusting that: a silently truncated feed is
     # the one thing an operator console must never show as complete.
     dropped = max(
@@ -207,16 +207,16 @@ def cmd_query(dataset: StudyDataset, args: argparse.Namespace) -> int:
     s = t.store.summary(args.metric)
     times, values = t.store.window(args.metric, t0, t1)
     print(f"metric   : {args.metric} — {METRIC_CATALOG.get(args.metric, '?')}")
-    print(f"points   : {s.count} appended, {s.dropped} evicted, {len(times)} in window")
+    print(f"points   : {s.count} appended, {s.dropped} before the served window, "
+          f"{len(times)} in window")
     print(f"last     : {s.last:.4g}   ewma {s.ewma:.4g}")
     print(f"range    : min {s.min:.4g}   max {s.max:.4g}")
     qtext = "   ".join(f"p{int(p * 100):d} {v:.4g}" for p, v in sorted(s.quantiles.items()))
-    print(f"quantiles: {qtext}  (P² streaming estimates)")
+    print(f"quantiles: {qtext}  (exact, whole campaign)")
     if s.dropped:
         print(
-            f"warning  : ring evicted {s.dropped} older points — the window "
-            "covers the retained tail only (aggregates still span the "
-            "full campaign)"
+            f"warning  : the served window omits {s.dropped} older points "
+            "(the aggregates above span the full campaign)"
         )
     if args.plot and len(values):
         from repro.util.asciiplot import ascii_series
@@ -315,7 +315,6 @@ async def _serve(args: argparse.Namespace) -> int:
     hub = CampaignHub(
         max_campaigns=args.max_campaigns,
         store_capacity=args.store_capacity,
-        max_series=args.max_series,
     )
     server = await OpsServer.start(hub, host=args.host, port=args.port)
     print(
@@ -558,13 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-capacity",
         type=positive_int,
         default=None,
-        help="per-metric ring capacity",
-    )
-    p_serve.add_argument(
-        "--max-series",
-        type=positive_int,
-        default=None,
-        help="per-store series cap (least-recently-appended eviction)",
+        help="per-metric served-window length (every point is kept)",
     )
     p_serve.set_defaults(func=cmd_serve, standalone=True)
 

@@ -30,7 +30,6 @@ from repro.telemetry.rules import (
     render_alerts,
 )
 from repro.telemetry.service import METRIC_CATALOG, TelemetryService
-from repro.telemetry.sketch import P2Quantile, QuantileSet
 from repro.telemetry.store import (
     MetricSeries,
     MetricStore,
@@ -53,9 +52,7 @@ __all__ = [
     "MetricSummary",
     "NodeGapRule",
     "Observation",
-    "P2Quantile",
     "PagingRule",
-    "QuantileSet",
     "RollupTable",
     "Rule",
     "SampleTaken",

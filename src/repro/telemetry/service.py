@@ -220,7 +220,7 @@ class TelemetryService:
             "alerts_suppressed": self.engine.suppressed,
             "spans_seen": self.spans_seen,
             "truncated": len(self.truncations) > 0,
-            # Ring evictions across every metric series.  0 is a
+            # Points before the served windows, over every series.  0 is a
             # statement ("every served window is complete"), not noise —
             # silent drops undermine trust in the telemetry feed.
             "points_dropped": self.store.points_dropped,

@@ -1,33 +1,29 @@
 """Compact in-memory time-series store for the live telemetry feed.
 
-Design constraints, in order:
+The paper stores every 15-minute interval and derives each figure from
+that record; the store works the same way:
 
-* **O(1) append** — the store sits on the 15-minute sample path of a
-  campaign that may be scaled far past the paper's 144 nodes;
-* **bounded memory** — raw points live in a fixed-capacity ring per
-  metric (columnar ``float64`` time/value arrays), so a nine-month
-  campaign cannot grow the operator view without bound;
-* **whole-campaign aggregates survive eviction** — EWMA, running
-  min/max, and P² quantile sketches (:mod:`repro.telemetry.sketch`) are
-  updated on append and never forget, so ``sp2-ops query`` reports
-  campaign-wide statistics even after the ring has wrapped.
+* **every point is kept** — each metric holds two growable ``float64``
+  columns (times, values) that double when full, so an append is
+  amortized O(1).  Memory therefore grows with the campaign: 16 B per
+  point, about 17 KB per simulated day for the eleven-metric catalog
+  (4.6 MB at 270 days);
+* **aggregates are exact and computed when asked** — count, EWMA, min,
+  max and the p50/p90/p99 quantiles come from the full column
+  (:func:`summarize`) when a query reads them, never from streaming
+  estimates;
+* **``capacity`` limits only the served window** — windowed queries,
+  ``size`` and ``dropped`` cover the last ``capacity`` points, so an
+  operator view stays bounded however long the campaign runs.
 
-Windowed queries return chronological ``(times, values)`` arrays over
-whatever raw points the ring still holds.
-
-The long-running service layer (:mod:`repro.ops`) adds two demands the
-one-shot CLI never had, both served here:
-
-* **snapshot isolation** — a query handler that awaits between reads
-  must see one consistent view of a series even while the ingest side
-  keeps appending.  :meth:`MetricSeries.snapshot` freezes the ring and
-  every aggregate into an immutable :class:`SeriesSnapshot`;
-  :meth:`MetricStore.snapshot` does it store-wide.
-* **bounded series count** — fleet federation multiplies the namespace
-  (``fleet.<member>.<metric>``), so a hub store accepts an optional
-  ``max_series`` cap and evicts the least-recently-appended series,
-  counting what it dropped (``series_evicted``) so served catalogs can
-  say so instead of silently forgetting.
+The long-running service layer (:mod:`repro.ops`) also needs **snapshot
+isolation**: a query handler that awaits between reads must see one
+consistent view of a series even while the ingest side keeps appending.
+:meth:`MetricSeries.snapshot` returns an immutable
+:class:`SeriesSnapshot` whose arrays are read-only views of the column
+prefix — later appends write past that prefix, or into a regrown
+buffer, so the views never change — and caches it until the next
+append; :meth:`MetricStore.snapshot` does it store-wide.
 """
 
 from __future__ import annotations
@@ -36,13 +32,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.telemetry.sketch import QuantileSet
-
-#: Default raw-point retention per metric (≈43 days of 15-minute samples).
+#: Default served-window length per metric (≈43 days of 15-minute samples).
 DEFAULT_CAPACITY = 4096
 
-#: Default EWMA smoothing factor (≈ a 2.5-hour memory at 15-minute cadence).
-DEFAULT_EWMA_ALPHA = 0.1
+#: EWMA smoothing factor (≈ a 2.5-hour memory at 15-minute cadence).
+EWMA_ALPHA = 0.1
+
+#: Quantiles every summary reports, exact over the whole series.
+QUANTILES = (0.5, 0.9, 0.99)
 
 
 @dataclass(frozen=True)
@@ -61,46 +58,55 @@ class MetricSummary:
 
 @dataclass(frozen=True)
 class SeriesSnapshot:
-    """An immutable point-in-time view of one :class:`MetricSeries`.
+    """An immutable point-in-time view of one series.
 
-    Holds chronological copies of the retained ring plus every streaming
-    aggregate, so a reader can mix raw-window math and campaign-wide
-    statistics without ever observing a concurrent append in between —
-    the isolation contract the asyncio query handlers rely on.
+    ``all_times``/``all_values`` hold every point appended so far,
+    chronologically; the served window is what follows the first
+    ``dropped`` of them.  The aggregates cover every point, so a reader
+    can mix raw-window math and campaign-wide statistics without ever
+    observing a concurrent append in between — the isolation contract
+    the asyncio query handlers rely on.
     """
 
     name: str
-    count: int
     dropped: int
     ewma: float
     min: float
     max: float
     quantiles: dict[float, float]
-    times: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
+    all_times: np.ndarray = field(repr=False)
+    all_values: np.ndarray = field(repr=False)
+
+    @property
+    def count(self) -> int:
+        return len(self.all_times)
 
     @property
     def size(self) -> int:
-        return len(self.times)
+        return self.count - self.dropped
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.all_times[self.dropped:]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.all_values[self.dropped:]
 
     def latest(self) -> tuple[float, float] | None:
-        if not len(self.times):
+        if not self.count:
             return None
-        return float(self.times[-1]), float(self.values[-1])
+        return float(self.all_times[-1]), float(self.all_values[-1])
 
     def window(
         self, t0: float | None = None, t1: float | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Chronological ``(times, values)`` with ``t0 <= t < t1``."""
-        times, values = self.times, self.values
-        if t0 is not None or t1 is not None:
-            mask = np.ones(len(times), dtype=bool)
-            if t0 is not None:
-                mask &= times >= t0
-            if t1 is not None:
-                mask &= times < t1
-            times, values = times[mask], values[mask]
-        return times, values
+        """Chronological ``(times, values)`` of the served window with
+        ``t0 <= t < t1``."""
+        times = self.times
+        lo = 0 if t0 is None else int(np.searchsorted(times, t0))
+        hi = len(times) if t1 is None else int(np.searchsorted(times, t1))
+        return times[lo:hi], self.values[lo:hi]
 
     def summary(self) -> MetricSummary:
         last = self.latest()
@@ -110,10 +116,117 @@ class SeriesSnapshot:
             dropped=self.dropped,
             last=last[1] if last else 0.0,
             ewma=self.ewma,
-            min=self.min if self.count else 0.0,
-            max=self.max if self.count else 0.0,
+            min=self.min,
+            max=self.max,
             quantiles=dict(self.quantiles),
         )
+
+
+def summarize(
+    name: str, times: np.ndarray, values: np.ndarray, dropped: int = 0
+) -> SeriesSnapshot:
+    """Freeze a series' full columns into a snapshot with exact aggregates.
+
+    The EWMA runs the recurrence in append order; the quantiles come
+    from ``np.percentile`` over every point.  The first ``dropped``
+    points lie outside the served window.  An empty series reports
+    zeros.
+    """
+    times.flags.writeable = False
+    values.flags.writeable = False
+    if len(values):
+        points = values.tolist()
+        ewma = points[0]
+        for v in points[1:]:
+            ewma = EWMA_ALPHA * v + (1 - EWMA_ALPHA) * ewma
+        lo, hi = float(values.min()), float(values.max())
+        quantiles = np.percentile(values, [q * 100.0 for q in QUANTILES]).tolist()
+    else:
+        ewma = lo = hi = 0.0
+        quantiles = [0.0] * len(QUANTILES)
+    return SeriesSnapshot(
+        name=name,
+        dropped=dropped,
+        ewma=ewma,
+        min=lo,
+        max=hi,
+        quantiles=dict(zip(QUANTILES, quantiles)),
+        all_times=times,
+        all_values=values,
+    )
+
+
+def _grown(column: np.ndarray, n: int) -> np.ndarray:
+    out = np.empty(max(64, 2 * n), dtype=np.float64)
+    out[:n] = column[:n]
+    return out
+
+
+class MetricSeries:
+    """Every point of one metric, in two growable columns."""
+
+    def __init__(self, name: str, *, capacity: int = DEFAULT_CAPACITY) -> None:
+        if capacity <= 0:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        self.name = name
+        self.capacity = capacity
+        self._times = np.empty(0, dtype=np.float64)
+        self._values = np.empty(0, dtype=np.float64)
+        self.count = 0  # total points ever appended
+        self._last_time = float("-inf")
+        self._snapshot: SeriesSnapshot | None = None
+
+    def append(self, time: float, value: float) -> None:
+        """Amortized O(1): store one point."""
+        if time < self._last_time:
+            raise ValueError(
+                f"{self.name}: appends must be time-ordered "
+                f"({time} < {self._last_time})"
+            )
+        self._last_time = time
+        n = self.count
+        if n == len(self._times):
+            self._times = _grown(self._times, n)
+            self._values = _grown(self._values, n)
+        self._times[n] = time
+        self._values[n] = value
+        self.count = n + 1
+        self._snapshot = None
+
+    @property
+    def size(self) -> int:
+        """Points in the served window."""
+        return min(self.count, self.capacity)
+
+    @property
+    def dropped(self) -> int:
+        """Points older than the served window."""
+        return self.count - self.size
+
+    def snapshot(self) -> SeriesSnapshot:
+        """Read-only views of every point plus exact aggregates (cached
+        until the next :meth:`append`)."""
+        if self._snapshot is None:
+            n = self.count
+            self._snapshot = summarize(
+                self.name, self._times[:n], self._values[:n], self.dropped
+            )
+        return self._snapshot
+
+    def window(
+        self, t0: float | None = None, t1: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Chronological ``(times, values)`` of the served window with
+        ``t0 <= t < t1``."""
+        return self.snapshot().window(t0, t1)
+
+    def latest(self) -> tuple[float, float] | None:
+        if self.count == 0:
+            return None
+        return float(self._times[self.count - 1]), float(self._values[self.count - 1])
+
+    def summary(self) -> MetricSummary:
+        return self.snapshot().summary()
 
 
 @dataclass(frozen=True)
@@ -121,8 +234,6 @@ class StoreSnapshot:
     """Immutable view of a whole store (or a named subset of it)."""
 
     series: dict[str, SeriesSnapshot]
-    #: Series the store evicted over its lifetime (count, not names).
-    series_evicted: int = 0
 
     def names(self) -> list[str]:
         return sorted(self.series)
@@ -135,176 +246,25 @@ class StoreSnapshot:
 
     @property
     def points_dropped(self) -> int:
-        """Raw points evicted by the rings, summed over retained series."""
+        """Points older than the served windows, summed over series."""
         return sum(s.dropped for s in self.series.values())
 
 
-class MetricSeries:
-    """One metric's ring of raw points plus its streaming aggregators."""
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        ewma_alpha: float = DEFAULT_EWMA_ALPHA,
-        quantiles: tuple[float, ...] = (0.5, 0.9, 0.99),
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError(f"ewma_alpha must be in (0, 1], got {ewma_alpha}")
-        self.name = name
-        self.capacity = capacity
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._values = np.empty(capacity, dtype=np.float64)
-        self._head = 0  # next write slot
-        self.count = 0  # total points ever appended
-        self._alpha = ewma_alpha
-        self.ewma = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
-        self.sketch = QuantileSet(quantiles)
-        self._last_time = float("-inf")
-
-    # ------------------------------------------------------------------
-    # Append path
-    # ------------------------------------------------------------------
-    def append(self, time: float, value: float) -> None:
-        """O(1): write one point and fold it into the aggregates."""
-        if time < self._last_time:
-            raise ValueError(
-                f"{self.name}: appends must be time-ordered "
-                f"({time} < {self._last_time})"
-            )
-        self._last_time = time
-        self._times[self._head] = time
-        self._values[self._head] = value
-        self._head = (self._head + 1) % self.capacity
-        v = float(value)
-        self.ewma = v if self.count == 0 else self._alpha * v + (1 - self._alpha) * self.ewma
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        self.sketch.add(v)
-        self.count += 1
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def size(self) -> int:
-        """Raw points currently retained."""
-        return min(self.count, self.capacity)
-
-    @property
-    def dropped(self) -> int:
-        """Raw points evicted by the ring."""
-        return self.count - self.size
-
-    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        n = self.size
-        if n < self.capacity:
-            return self._times[:n], self._values[:n]
-        idx = np.concatenate([np.arange(self._head, self.capacity), np.arange(self._head)])
-        return self._times[idx], self._values[idx]
-
-    def window(
-        self, t0: float | None = None, t1: float | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Chronological ``(times, values)`` with ``t0 <= t < t1``."""
-        times, values = self._ordered()
-        if t0 is not None or t1 is not None:
-            mask = np.ones(len(times), dtype=bool)
-            if t0 is not None:
-                mask &= times >= t0
-            if t1 is not None:
-                mask &= times < t1
-            times, values = times[mask], values[mask]
-        return times.copy(), values.copy()
-
-    def latest(self) -> tuple[float, float] | None:
-        if self.count == 0:
-            return None
-        i = (self._head - 1) % self.capacity
-        return float(self._times[i]), float(self._values[i])
-
-    def summary(self) -> MetricSummary:
-        last = self.latest()
-        return MetricSummary(
-            name=self.name,
-            count=self.count,
-            dropped=self.dropped,
-            last=last[1] if last else 0.0,
-            ewma=self.ewma,
-            min=self.min if self.count else 0.0,
-            max=self.max if self.count else 0.0,
-            quantiles=self.sketch.values(),
-        )
-
-    def snapshot(self) -> SeriesSnapshot:
-        """Freeze the ring and every aggregate into an immutable view."""
-        times, values = self._ordered()
-        return SeriesSnapshot(
-            name=self.name,
-            count=self.count,
-            dropped=self.dropped,
-            ewma=self.ewma,
-            min=self.min if self.count else 0.0,
-            max=self.max if self.count else 0.0,
-            quantiles=self.sketch.values(),
-            times=times.copy(),
-            values=values.copy(),
-        )
-
-
 class MetricStore:
-    """Named metric series, created lazily on first append.
+    """Named metric series, created lazily on first append."""
 
-    ``max_series`` bounds how many series the store retains; creating
-    one past the cap evicts the least-recently-appended series (and
-    counts it in :attr:`series_evicted`).  The default (``None``) keeps
-    every series forever — the single-campaign behaviour the golden
-    files pin.
-    """
-
-    def __init__(
-        self,
-        *,
-        capacity: int = DEFAULT_CAPACITY,
-        ewma_alpha: float = DEFAULT_EWMA_ALPHA,
-        max_series: int | None = None,
-    ) -> None:
-        if max_series is not None and max_series <= 0:
-            raise ValueError(f"max_series must be positive, got {max_series}")
+    def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
-        self.ewma_alpha = ewma_alpha
-        self.max_series = max_series
         self._series: dict[str, MetricSeries] = {}
-        #: Monotone append clock driving least-recently-appended eviction.
-        self._clock = 0
-        self._touched: dict[str, int] = {}
-        #: Series evicted by the ``max_series`` cap over the lifetime.
-        self.series_evicted = 0
 
     def series(self, name: str) -> MetricSeries:
         s = self._series.get(name)
         if s is None:
-            if self.max_series is not None and len(self._series) >= self.max_series:
-                coldest = min(self._touched, key=self._touched.__getitem__)
-                del self._series[coldest]
-                del self._touched[coldest]
-                self.series_evicted += 1
-            s = MetricSeries(name, capacity=self.capacity, ewma_alpha=self.ewma_alpha)
-            self._series[name] = s
-            self._touched[name] = self._clock
+            s = self._series[name] = MetricSeries(name, capacity=self.capacity)
         return s
 
     def append(self, name: str, time: float, value: float) -> None:
         self.series(name).append(time, value)
-        self._clock += 1
-        self._touched[name] = self._clock
 
     def names(self) -> list[str]:
         return sorted(self._series)
@@ -315,14 +275,11 @@ class MetricStore:
         picked = self._series if names is None else {
             n: self._series[n] for n in names if n in self._series
         }
-        return StoreSnapshot(
-            series={n: s.snapshot() for n, s in picked.items()},
-            series_evicted=self.series_evicted,
-        )
+        return StoreSnapshot(series={n: s.snapshot() for n, s in picked.items()})
 
     @property
     def points_dropped(self) -> int:
-        """Raw points evicted by the rings, summed over retained series."""
+        """Points older than the served windows, summed over series."""
         return sum(s.dropped for s in self._series.values())
 
     def __contains__(self, name: str) -> bool:

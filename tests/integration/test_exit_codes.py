@@ -85,6 +85,11 @@ class TestUsageErrors:
                 ["alerts", "--fault-profile", "bogus"],
                 id="ops-bad-profile",
             ),
+            pytest.param(
+                repro.ops_cli.main,
+                ["serve", "--max-series", "4"],
+                id="ops-serve-max-series",
+            ),
         ],
     )
     def test_bad_campaign_flag(self, main, argv, capsys, monkeypatch):

@@ -11,23 +11,14 @@ from repro.ops.federate import (
     parse_fleet_metric,
     rollup_metric,
 )
-from repro.telemetry.store import SeriesSnapshot
+from repro.telemetry.store import DEFAULT_CAPACITY, MetricSeries
 
 
-def snap(name, times, values, dropped=0):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    return SeriesSnapshot(
-        name=name,
-        count=len(values),
-        dropped=dropped,
-        ewma=float(values[-1]) if len(values) else 0.0,
-        min=float(values.min()) if len(values) else 0.0,
-        max=float(values.max()) if len(values) else 0.0,
-        quantiles={},
-        times=times,
-        values=values,
-    )
+def snap(name, times, values, capacity=DEFAULT_CAPACITY):
+    series = MetricSeries(name, capacity=capacity)
+    for t, v in zip(times, values):
+        series.append(float(t), float(v))
+    return series.snapshot()
 
 
 class TestNames:
@@ -103,16 +94,20 @@ class TestFederateSeries:
         assert merged.values[1] == pytest.approx((6.0 * 10 + 10.0 * 30) / 40)
         assert merged.values[2] == pytest.approx(12.0)
 
-    def test_dropped_sums_across_members(self):
+    def test_dropped_counts_aligned_times_before_the_window(self):
         merged = federate_series(
             "tlb.miss_rate",
             {
-                "west": snap("tlb.miss_rate", [0], [1.0], dropped=3),
-                "east": snap("tlb.miss_rate", [0], [1.0], dropped=4),
+                "west": snap("tlb.miss_rate", [0, 900, 1800], [1.0] * 3, capacity=1),
+                "east": snap("tlb.miss_rate", [900, 1800, 2700], [1.0] * 3, capacity=2),
             },
             {"west": 1, "east": 1},
         )
-        assert merged.dropped == 7
+        # Every aligned time counts; the window starts at the oldest
+        # point a member still serves (1800).
+        assert merged.count == 4
+        assert np.array_equal(merged.times, [1800, 2700])
+        assert merged.dropped == merged.count - merged.size == 2
 
     def test_empty_members_yield_empty_rollup(self):
         merged = federate_series("x", {"west": None}, {})

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.fleet.runner import run_fleet
-from repro.ops import CampaignHub, ingest_fleet
+from repro.ops import SUM_METRICS, CampaignHub, ingest_fleet, member_metric, rollup_metric
 from repro.ops.ingest import replay_fleet_into_hub
 
 #: Series that replay reproduces exactly (jobs.active is documented to
@@ -37,8 +37,12 @@ def live_hub(tiny_fleet_spec):
 
 
 @pytest.fixture(scope="module")
-def replay_hub(tiny_fleet_spec):
-    fleet = run_fleet(tiny_fleet_spec)
+def fleet(tiny_fleet_spec):
+    return run_fleet(tiny_fleet_spec)
+
+
+@pytest.fixture(scope="module")
+def replay_hub(tiny_fleet_spec, fleet):
     hub = CampaignHub()
     hub.register(
         "fed",
@@ -122,3 +126,37 @@ class TestFederated:
         assert live_hub.job_report("fed", job_id) == replay_hub.job_report(
             "fed", job_id
         )
+
+
+class TestCappedRollup:
+    """A capped hub serves short windows, but fleet rollups still
+    aggregate every aligned time of the campaign."""
+
+    @pytest.fixture(scope="class")
+    def capped_hub(self, tiny_fleet_spec, fleet):
+        hub = CampaignHub(store_capacity=8)
+        hub.register(
+            "fed",
+            kind="fleet",
+            members=tuple(m.name for m in tiny_fleet_spec.members),
+            node_weights={m.name: m.n_nodes for m in tiny_fleet_spec.members},
+        )
+        replay_fleet_into_hub(hub, "fed", fleet)
+        return hub
+
+    @pytest.mark.parametrize("metric", sorted(SUM_METRICS))
+    def test_rollup_covers_every_member_sample(self, capped_hub, fleet, metric):
+        sample_times = set()
+        for result in fleet.members:
+            t = result.dataset.collector.interval_table()
+            sample_times.update(t.end[(t.seconds > 0) & (t.n_nodes > 0)].tolist())
+        rollup = capped_hub.series_snapshot("fed", rollup_metric(metric))
+        assert rollup.count == len(sample_times)
+        assert rollup.dropped == rollup.count - rollup.size
+        assert rollup.dropped > 0
+        for result in fleet.members:
+            member = capped_hub.series_snapshot(
+                "fed", member_metric(result.spec.name, metric)
+            )
+            assert member.size <= 8
+            assert rollup.max >= member.max

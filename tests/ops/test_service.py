@@ -158,13 +158,6 @@ class TestHubIsBounded:
         snap = hub.store_snapshot("tight")
         assert all(snap[n].size <= 8 for n in snap.names())
 
-    def test_series_cap_applies_to_hub_services(self, tiny_dataset):
-        hub = CampaignHub(max_series=4)
-        hub.register("tight")
-        replay_into_hub(hub, "tight", tiny_dataset)
-        assert hub.catalog()["campaigns"][0]["series_evicted"] > 0
-        assert len(hub.store_snapshot("tight").names()) <= 4
-
 
 def test_tiny_campaign_fires_alerts(tiny_dataset):
     """Backstop for the push tests: the fixture must produce alerts."""

@@ -1,4 +1,4 @@
-"""Snapshot isolation and bounded-series eviction (PR 7 store growth)."""
+"""Snapshot isolation and the uncapped series namespace."""
 
 import numpy as np
 import pytest
@@ -12,10 +12,19 @@ class TestSeriesSnapshot:
         for i in range(5):
             store.append("m", float(i), float(i))
         snap = store.series("m").snapshot()
-        store.append("m", 5.0, 99.0)
+        for arr in (snap.times, snap.values, snap.all_times, snap.all_values):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = -1.0
+        store.append("m", 5.0, 99.0)  # written past the snapshot's prefix
         assert snap.count == 5
         assert snap.latest() == (4.0, 4.0)
         assert np.array_equal(snap.values, [0, 1, 2, 3, 4])
+        for i in range(6, 200):  # regrows the columns
+            store.append("m", float(i), -7.0)
+        assert np.array_equal(snap.times, [0, 1, 2, 3, 4])
+        assert np.array_equal(snap.values, [0, 1, 2, 3, 4])
+        assert snap.max == 4.0 and snap.quantiles[0.99] <= 4.0
 
     def test_snapshot_summary_matches_live_summary(self):
         store = MetricStore()
@@ -67,22 +76,8 @@ class TestStoreSnapshot:
 
 
 class TestBoundedSeries:
-    def test_max_series_evicts_least_recently_appended(self):
-        store = MetricStore(max_series=2)
-        store.append("old", 0.0, 1.0)
-        store.append("warm", 1.0, 1.0)
-        store.append("warm", 2.0, 1.0)
-        store.append("new", 3.0, 1.0)  # evicts "old" (coldest append)
-        assert store.names() == ["new", "warm"]
-        assert store.series_evicted == 1
-
-    def test_invalid_max_series_rejected(self):
-        with pytest.raises(ValueError, match="max_series"):
-            MetricStore(max_series=0)
-
     def test_unbounded_by_default(self):
         store = MetricStore()
         for i in range(50):
             store.append(f"m{i}", 0.0, 0.0)
         assert len(store.names()) == 50
-        assert store.series_evicted == 0

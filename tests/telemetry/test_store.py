@@ -1,9 +1,9 @@
-"""The ring-buffered metric store: windows, eviction, aggregates."""
+"""The metric store: served windows, exact whole-series aggregates."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry.store import MetricSeries, MetricStore
+from repro.telemetry.store import EWMA_ALPHA, MetricSeries, MetricStore
 
 
 class TestMetricSeries:
@@ -44,19 +44,41 @@ class TestMetricSeries:
         s = MetricSeries("m", capacity=4)
         for i in range(100):
             s.append(float(i), float(i))
-        # Raw ring only holds 96..99, but the aggregates saw everything.
-        assert s.min == 0.0
-        assert s.max == 99.0
-        assert s.count == 100
+        # The window serves only 96..99, but the aggregates see everything.
+        summ = s.summary()
+        assert summ.min == 0.0
+        assert summ.max == 99.0
+        assert summ.count == 100
+
+    def test_quantiles_exact_after_window_wraps(self):
+        values = np.random.default_rng(7).lognormal(size=100)
+        s = MetricSeries("m", capacity=4)
+        for i, v in enumerate(values):
+            s.append(float(i), float(v))
+        summ = s.summary()
+        assert s.size == 4
+        for q in (0.5, 0.9, 0.99):
+            assert summ.quantiles[q] == np.percentile(values, q * 100)
+        assert (summ.min, summ.max) == (values.min(), values.max())
+
+    def test_ewma_matches_recurrence_bit_for_bit(self):
+        values = np.random.default_rng(3).normal(size=500)
+        s = MetricSeries("m", capacity=8)
+        for i, v in enumerate(values):
+            s.append(float(i), float(v))
+        ewma = 0.0
+        for i, v in enumerate(values.tolist()):
+            ewma = v if i == 0 else EWMA_ALPHA * v + (1 - EWMA_ALPHA) * ewma
+        assert s.summary().ewma == ewma
 
     def test_ewma_tracks_level_shift(self):
-        s = MetricSeries("m", capacity=64, ewma_alpha=0.5)
-        for i in range(20):
+        s = MetricSeries("m", capacity=64)
+        for i in range(100):
             s.append(float(i), 1.0)
-        assert s.ewma == pytest.approx(1.0)
-        for i in range(20, 40):
+        assert s.summary().ewma == pytest.approx(1.0)
+        for i in range(100, 200):
             s.append(float(i), 5.0)
-        assert s.ewma == pytest.approx(5.0, abs=0.01)
+        assert s.summary().ewma == pytest.approx(5.0, abs=0.01)
 
     def test_out_of_order_append_rejected(self):
         s = MetricSeries("m")
