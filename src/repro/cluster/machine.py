@@ -10,10 +10,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 from repro.cluster.filesystem import NFSFilesystem
 from repro.cluster.switch import HighPerformanceSwitch
 from repro.power2.batch import CounterStore
 from repro.power2.config import MachineConfig, POWER2_590, SwitchConfig
+from repro.power2.counters import ROW_SIZE
 from repro.power2.node import Node, PhaseKind, WorkPhase
 
 #: The NAS SP2 size.
@@ -46,7 +49,9 @@ class SP2Machine:
     Every node's accumulators live in one shared
     :class:`~repro.power2.batch.CounterStore`, so collector passes and
     job transitions run as flat array sweeps (see
-    :mod:`repro.power2.batch`).
+    :mod:`repro.power2.batch`).  :meth:`snapshot_nodes` and
+    :meth:`install_rates` are the job-transition sweeps, and the only
+    place the store and the scalar oracle part ways.
     """
 
     def __init__(
@@ -169,6 +174,41 @@ class SP2Machine:
         if ids is None:
             return iter(self.nodes)
         return (self.nodes[i] for i in ids)
+
+    def snapshot_nodes(self, node_ids: Sequence[int], now: float) -> np.ndarray:
+        """Sync ``node_ids`` to ``now`` and read their counters: one
+        int64 row per node, in ``node_ids`` order (the PBS prologue and
+        epilogue, §3)."""
+        store = self.store
+        if store is not None:
+            store.sync_slots(node_ids, now)
+            return store.snapshot_matrix(node_ids)
+        rows = np.empty((len(node_ids), ROW_SIZE), dtype=np.int64)
+        for i, nid in enumerate(node_ids):
+            node = self.nodes[nid]
+            node.sync(now)
+            node.monitor.snapshot_vector(out=rows[i])
+        return rows
+
+    def install_rates(
+        self,
+        node_ids: Sequence[int],
+        now: float,
+        user: np.ndarray | None = None,
+        system: np.ndarray | None = None,
+        *,
+        busy: bool = False,
+    ) -> None:
+        """:meth:`Node.install_rates` on every node of ``node_ids`` at
+        once: sync to ``now``, then install the rates (``None`` = idle
+        background)."""
+        store = self.store
+        if store is not None:
+            store.sync_slots(node_ids, now)
+            store.install(node_ids, user, system, busy=busy)
+            return
+        for nid in node_ids:
+            self.nodes[nid].install_rates(now, user, system, busy=busy)
 
     def idle_all(self, seconds: float, node_ids: Iterable[int] | None = None) -> None:
         """Advance idle time on the given nodes (default: the free ones)."""

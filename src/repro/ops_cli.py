@@ -187,7 +187,7 @@ def cmd_tail(dataset: StudyDataset, args: argparse.Namespace) -> int:
         (t.store.series(name).dropped for name in TAIL_SERIES if name in t.store),
         default=0,
     )
-    note = f" (ring evicted {dropped} older samples)" if dropped else ""
+    note = f" ({dropped} older samples before the served window)" if dropped else ""
     print(f"-- {shown} of {t.intervals_seen} intervals shown{note}")
     return EXIT_OK
 

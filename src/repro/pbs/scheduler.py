@@ -30,7 +30,7 @@ from repro.pbs.accounting import AccountingLog
 from repro.pbs.job import ExecutionProfile, JobRecord, JobSpec, JobState
 from repro.pbs.queue import JobQueue
 from repro.power2.config import MachineConfig
-from repro.power2.counters import FLAT_NAMES, ROW_SIZE, rates_vector
+from repro.power2.counters import FLAT_NAMES, rates_vector
 from repro.power2.node import (
     DMA_TRANSFER_BYTES,
     PAGING_CPU_BUSY_FRACTION,
@@ -249,7 +249,6 @@ class PBSServer:
         user, system, _ = apply_paging_to_rates(
             profile.user_rates, profile.system_rates, demand, self.machine.config
         )
-        flops_per_s = profile.mflops_per_node * 1e6
         walltime = profile.walltime_seconds
 
         # A degraded switch stretches the communication share of the
@@ -261,17 +260,15 @@ class PBSServer:
             slow = 1.0 + comm * (degradation - 1.0)
             if slow > 1.0:
                 user = user / slow
-                flops_per_s /= slow
                 walltime *= slow
 
-        # Prologue: snapshot counters on each allocated node (§3).
-        prologue = np.empty((len(node_ids), ROW_SIZE), dtype=np.int64)
-        for i, nid in enumerate(node_ids):
-            node = self.machine.node(nid)
-            node.sync(now)
-            node.monitor.snapshot_vector(out=prologue[i])
-            node.assign_memory(demand)
-            node.install_rates(now, user, system, busy=True, flops_per_s=flops_per_s)
+        # Prologue: snapshot counters on the allocated nodes (§3), then
+        # start the job's steady rates on all of them.
+        machine = self.machine
+        prologue = machine.snapshot_nodes(node_ids, now)
+        for nid in node_ids:
+            machine.nodes[nid].assign_memory(demand)
+        machine.install_rates(node_ids, now, user, system, busy=True)
 
         running = RunningJob(
             job=job,
@@ -322,13 +319,11 @@ class PBSServer:
         job.state = JobState.EXITED
 
         # Epilogue: sync, snapshot, diff against the prologue (§3).
-        epilogue = np.empty_like(prologue)
-        for i, nid in enumerate(node_ids):
-            node = self.machine.node(nid)
-            node.sync(now)
-            node.monitor.snapshot_vector(out=epilogue[i])
-            node.release_memory(rj.memory_per_node)
-            node.install_rates(now)  # back to idle background
+        machine = self.machine
+        epilogue = machine.snapshot_nodes(node_ids, now)
+        for nid in node_ids:
+            machine.nodes[nid].release_memory(rj.memory_per_node)
+        machine.install_rates(node_ids, now)  # back to idle background
         deltas = epilogue - prologue
         if (deltas < 0).any():
             i, col = np.argwhere(deltas < 0)[0]
@@ -414,10 +409,8 @@ class PBSServer:
         # are synced and returned to idle; the crashed node itself is
         # withheld from the free pool by the machine.
         for nid in rj.node_ids:
-            node = self.machine.node(nid)
-            node.sync(now)
-            node.release_memory(rj.memory_per_node)
-            node.install_rates(now)
+            self.machine.nodes[nid].release_memory(rj.memory_per_node)
+        self.machine.install_rates(rj.node_ids, now)
         self.machine.release(rj.alloc_id)
         self.jobs_killed += 1
 

@@ -7,7 +7,12 @@ collector passes plus every job start/stop.  Done node by node
 :class:`~repro.cluster.machine.SP2Machine` therefore keeps all of its
 nodes' accumulators in one :class:`CounterStore` of ``(n, 44)`` float64
 matrices, so a collector pass becomes a single ``values += rates * dt``
-sweep.
+sweep, and so does each PBS job transition: the prologue, the epilogue
+and a node-failure kill sync, snapshot and re-rate a job's whole
+allocation as one row set (:meth:`CounterStore.sync_slots`,
+:meth:`CounterStore.snapshot_matrix`, :meth:`CounterStore.install`,
+driven by :meth:`~repro.cluster.machine.SP2Machine.snapshot_nodes` and
+:meth:`~repro.cluster.machine.SP2Machine.install_rates`).
 
 **The equivalence guarantee.** The store produces *bitwise identical*
 results to the detached scalar :class:`~repro.power2.node.Node` path,
@@ -95,25 +100,26 @@ class CounterStore:
 
     def install(
         self,
-        slot: int,
+        slots: int | Sequence[int],
         user: Sequence[float] | None,
         system: Sequence[float] | None,
         *,
         busy: bool,
     ) -> None:
-        """Replace a slot's rate rows (``None`` user = zeros, ``None``
-        system = the slot's background).  Callers sync first, exactly
-        like :meth:`Node.install_rates`."""
-        row = self._rates[slot]
+        """Replace the rate rows of one slot or a slot set (a job's whole
+        allocation): ``None`` user = zeros, ``None`` system = each slot's
+        background.  Callers sync first, exactly like
+        :meth:`Node.install_rates`."""
+        idx = np.asarray(slots, dtype=np.intp)
         if user is None:
-            row[:BANK_SIZE] = 0.0
+            self._rates[idx, :BANK_SIZE] = 0.0
         else:
-            row[:BANK_SIZE] = user
+            self._rates[idx, :BANK_SIZE] = user
         if system is None:
-            row[BANK_SIZE:] = self._background[slot]
+            self._rates[idx, BANK_SIZE:] = self._background[idx]
         else:
-            row[BANK_SIZE:] = system
-        self._busy_flag[slot] = 1.0 if busy else 0.0
+            self._rates[idx, BANK_SIZE:] = system
+        self._busy_flag[idx] = 1.0 if busy else 0.0
 
     def halt(self, slot: int) -> None:
         """Freeze a slot's counters (crash): all rates to zero."""
@@ -160,6 +166,10 @@ class CounterStore:
             raise ValueError(f"sync cannot run backwards (now={now})")
         dt = np.maximum(0.0, now - last)
         self._last_sync[idx] = now
+        if not dt.any():
+            # Already synced to ``now`` (the re-rate right after a job's
+            # snapshot): skip the row gather, as :meth:`sync_one` does.
+            return
         self._values[idx] += self._rates[idx] * dt[:, None]
         self._wall[idx] += dt
         self._busy[idx] += dt * self._busy_flag[idx]
@@ -224,7 +234,8 @@ class CounterStore:
         return out
 
     def snapshot_matrix(self, slots: Sequence[int]) -> np.ndarray:
-        """Int64 snapshot rows for many slots — the collector's pass."""
+        """Int64 snapshot rows for many slots, in ``slots`` order — the
+        collector's pass and the PBS prologue/epilogue."""
         if not len(slots):
             return np.zeros((0, ROW_SIZE), dtype=np.int64)
         idx = np.asarray(slots, dtype=np.intp)

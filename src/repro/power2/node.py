@@ -181,7 +181,6 @@ class Node:
         self._user_rates: np.ndarray | None = None
         self._system_rates: np.ndarray = self._background_rates()
         self._rates_busy = False
-        self._flops_per_s = 0.0
         # Batched-accrual attachment (see attach_store): when set, all
         # fast-path state above lives in the shared store's slot instead.
         self._store = None
@@ -381,7 +380,6 @@ class Node:
         system_rates: np.ndarray | None = None,
         *,
         busy: bool = False,
-        flops_per_s: float = 0.0,
     ) -> None:
         """Install steady per-second counter rate vectors from ``now`` on.
 
@@ -401,7 +399,6 @@ class Node:
             else np.asarray(system_rates, dtype=float)
         )
         self._rates_busy = busy
-        self._flops_per_s = flops_per_s
 
     def sync(self, now: float) -> None:
         """Integrate installed rates up to simulated time ``now``."""
@@ -442,7 +439,6 @@ class Node:
         self._user_rates = zero
         self._system_rates = zero.copy()
         self._rates_busy = False
-        self._flops_per_s = 0.0
 
     def resume(self, now: float) -> None:
         """Return the node to service at ``now`` (repair).

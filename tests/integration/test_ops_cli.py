@@ -87,7 +87,33 @@ class TestTail:
         rc = main(["tail", "--limit", "0"] + SMALL)
         assert rc == 0
         # 2 days of 15-minute samples = 192 intervals.
-        assert "192 of 192 intervals" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "192 of 192 intervals" in out
+        assert "before the served window" not in out
+
+    def test_tail_reports_points_before_the_served_window(self, capsys):
+        """A store whose served window is shorter than the campaign says
+        how many older samples the feed leaves out."""
+        from repro.cliargs import study_config
+        from repro.core.study import WorkloadStudy
+        from repro.ops_cli import cmd_tail
+        from repro.telemetry.service import TelemetryService, replay_events
+        from repro.telemetry.store import MetricStore
+
+        args = build_parser().parse_args(["tail", "--limit", "0"] + SMALL)
+        dataset = WorkloadStudy(study_config(args)).run()
+        service = TelemetryService(store=MetricStore(capacity=50))
+        for topic, event in replay_events(
+            dataset.collector, dataset.accounting.records, faults=dataset.faults
+        ):
+            service.bus.publish(topic, event)
+        dataset.telemetry = service
+        assert cmd_tail(dataset, args) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith(
+            "-- 50 of 192 intervals shown (142 older samples before the served window)"
+        )
+        assert "evicted" not in out
 
 
 class TestQuery:

@@ -87,9 +87,7 @@ def apply_step(node: Node, now: float, action: str, user, system, busy):
     if action == "sync":
         node.sync(now)
     elif action == "install":
-        node.install_rates(
-            now, np.asarray(user), np.asarray(system), busy=busy, flops_per_s=1.0
-        )
+        node.install_rates(now, np.asarray(user), np.asarray(system), busy=busy)
     elif action == "idle":
         node.install_rates(now)
     elif action == "halt":

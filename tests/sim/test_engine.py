@@ -23,6 +23,33 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
+    def test_same_time_events_fire_in_scheduling_order(self):
+        """Ties break on scheduling order, whatever the time order of
+        the calls and however schedule/schedule_at are mixed."""
+        sim = Simulator()
+        fired = []
+        plan = [(2.0, "a"), (1.0, "b"), (2.0, "c"), (1.0, "d"), (2.0, "e"), (1.0, "f")]
+        for i, (t, tag) in enumerate(plan):
+            if i % 2:
+                sim.schedule_at(t, lambda s, tag=tag: fired.append(tag))
+            else:
+                sim.schedule(t, lambda s, tag=tag: fired.append(tag))
+        sim.run()
+        assert fired == ["b", "d", "f", "a", "c", "e"]
+
+    def test_same_time_event_from_handler_fires_after_queued_ties(self):
+        sim = Simulator()
+        fired = []
+
+        def first(s):
+            fired.append("first")
+            s.schedule(0.0, lambda s2: fired.append("spawned"))
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, lambda s: fired.append("queued"))
+        sim.run()
+        assert fired == ["first", "queued", "spawned"]
+
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = []
@@ -72,6 +99,31 @@ class TestCancellation:
         sim.schedule(2.0, lambda s: None)
         ev.cancel()
         assert sim.peek() == 2.0
+
+
+    def test_peek_and_step_skip_cancelled_heads(self):
+        sim = Simulator()
+        fired = []
+        heads = [sim.schedule(1.0, lambda s, i=i: fired.append(i)) for i in range(3)]
+        sim.schedule(1.0, lambda s: fired.append("live-tie"))
+        later = sim.schedule(2.0, lambda s: fired.append("later"))
+        for ev in heads:
+            ev.cancel()
+        assert sim.peek() == 1.0
+        assert sim.step() is True
+        assert fired == ["live-tie"] and sim.now == 1.0
+        later.cancel()
+        assert sim.peek() is None
+        assert sim.step() is False
+        assert fired == ["live-tie"] and sim.events_processed == 1
+
+    def test_step_skips_cancelled_head_without_peek(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda s: fired.append("dead")).cancel()
+        sim.schedule(3.0, lambda s: fired.append("live"))
+        assert sim.step() is True
+        assert fired == ["live"] and sim.now == 3.0
 
 
 class TestRun:
